@@ -40,7 +40,6 @@ from .pairing import (
     vanishing_checks,
 )
 from .series import (
-    IntPoly,
     ModCoeff,
     TruncatedSeries,
     eps,
@@ -94,7 +93,6 @@ __all__ = [
     "tau",
     "ModCoeff",
     "TruncatedSeries",
-    "IntPoly",
     "magnus",
     "eps",
     "eps_exact",

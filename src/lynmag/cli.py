@@ -39,7 +39,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "text"
     out: Optional[str] = None
-    group_cap: int = 10**6
     span_cap: int = 4096
 
 
@@ -59,8 +58,10 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    known: set[str] = set()
 
     def pick(key: str, default, convert):
+        known.add(key)
         flag = getattr(args, key, None)
         if flag is not None:
             return flag
@@ -80,9 +81,13 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         seed=pick("seed", 0, int),
         fmt=pick("format", "text", str),
         out=pick("out", None, str),
-        group_cap=pick("group_cap", 10**6, int),
         span_cap=pick("span_cap", 4096, int),
     )
+    unknown = sorted(set(file_cfg) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) in {args.config}: {', '.join(unknown)}"
+        )
     if not is_prime(config.p) or not 2 <= config.p <= 13:
         raise ValueError(f"p must be a prime in 2..13, got {config.p}")
     if not 1 <= config.n <= 6:
@@ -297,9 +302,9 @@ def cmd_shuffle(config: RunConfig, args: argparse.Namespace) -> int:
     u = config.alphabet.word(args.words[0])
     v = config.alphabet.word(args.words[1])
     sh = shuffle(u, v)
-    payload = {"u": str(u), "v": str(v), "shuffle": sh.to_json()}
+    payload = {"u": str(u), "v": str(v), "shuffle": {"terms": sh.to_json()["terms"]}}
     if args.infiltration:
-        payload["infiltration"] = infiltration(u, v).to_json()
+        payload["infiltration"] = {"terms": infiltration(u, v).to_json()["terms"]}
     if config.fmt == "json":
         emit_json(payload, config)
     else:

@@ -105,18 +105,6 @@ class GroupWord:
         return f"GroupWord({format_group_word(self)!r})"
 
 
-def multiply(g: GroupWord, h: GroupWord) -> GroupWord:
-    return g * h
-
-
-def inverse(g: GroupWord) -> GroupWord:
-    return g.inverse()
-
-
-def power(g: GroupWord, k: int) -> GroupWord:
-    return g**k
-
-
 def commutator(g: GroupWord, h: GroupWord) -> GroupWord:
     """[g, h] = g^-1 h^-1 g h."""
     return g.inverse() * h.inverse() * g * h

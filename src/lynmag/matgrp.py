@@ -173,10 +173,6 @@ class UnipotentMatrix:
         return cls.from_entries(int(data["size"]), int(data["modulus"]), entries)
 
 
-def mat_mul(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
-    return a * b
-
-
 def mat_commutator(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
     """[a, b] = a^-1 b^-1 a b."""
     return a.inverse() * b.inverse() * a * b

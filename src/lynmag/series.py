@@ -1,9 +1,11 @@
 """Truncated noncommutative power series and the Magnus embedding.
 
 A :class:`TruncatedSeries` is a sparse integer polynomial in noncommuting
-letters where every word longer than the truncation degree is discarded.
-Coefficients live either in Z/p^k (``modulus`` a prime power) or in Z
-itself (``modulus`` None); the exact path is what certifies vanishing
+letters where every word longer than the truncation degree is discarded;
+with ``degree`` None nothing is discarded, which is how shuffles, bracket
+polynomials and other finite polynomials are represented.  Coefficients
+live either in Z/p^k (``modulus`` a prime power) or in Z itself
+(``modulus`` None); the exact path is what certifies vanishing
 statements, since no single residue can.
 
 ``magnus`` sends a free-group word to its image under the ring map
@@ -14,9 +16,10 @@ and lower p-central series (``lower_central_test``, ``koch_test``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .freegrp import GroupWord, commutator
 from .words import Alphabet, Word, is_lyndon, preceq_key, standard_factorization
@@ -79,31 +82,12 @@ class ModCoeff:
         return f"ModCoeff({self.value} mod {self.modulus})"
 
 
-def _format_terms(pairs, alphabet: Alphabet) -> str:
-    # pairs: (word key, signed integer coefficient), preceq-sorted
-    if not pairs:
-        return "0"
-    chunks = []
-    for key, c in pairs:
-        word = str(Word(alphabet, key)) if key else ""
-        if not word:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = word
-        else:
-            body = f"{abs(c)}·{word}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
-
-
 class TruncatedSeries:
     """Sparse series in noncommuting letters, truncated above a fixed degree.
 
     The coefficient map never stores zeros and never stores words longer
     than the truncation degree, so equality of values is equality of maps.
+    A degree of None means untruncated: the value is a finite polynomial.
     Instances are immutable by convention; all operations return new values.
     """
 
@@ -113,17 +97,18 @@ class TruncatedSeries:
         self,
         alphabet: Alphabet,
         modulus: Optional[int],
-        degree: int,
+        degree: Optional[int],
         coeffs: Optional[Mapping[WordKey, int]] = None,
     ):
         if modulus is not None:
             prime_power(modulus)
-        if degree < 0:
+        if degree is not None and degree < 0:
             raise ValueError("truncation degree must be nonnegative")
+        cap = math.inf if degree is None else degree
         clean: dict[WordKey, int] = {}
         if coeffs:
             for key, c in coeffs.items():
-                if len(key) > degree:
+                if len(key) > cap:
                     continue
                 if modulus is not None:
                     c %= modulus
@@ -138,16 +123,10 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def constant(
-        cls, alphabet: Alphabet, modulus: Optional[int], degree: int, c: int = 1
-    ) -> "TruncatedSeries":
-        return cls(alphabet, modulus, degree, {(): c})
-
-    @classmethod
     def one(
-        cls, alphabet: Alphabet, modulus: Optional[int], degree: int
+        cls, alphabet: Alphabet, modulus: Optional[int], degree: Optional[int]
     ) -> "TruncatedSeries":
-        return cls.constant(alphabet, modulus, degree, 1)
+        return cls(alphabet, modulus, degree, {(): 1})
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.alphabet != other.alphabet:
@@ -194,7 +173,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        cap = self.degree
+        cap = math.inf if self.degree is None else self.degree
         by_len: dict[int, list[tuple[WordKey, int]]] = {}
         for v, cv in other.coeffs.items():
             by_len.setdefault(len(v), []).append((v, cv))
@@ -207,7 +186,7 @@ class TruncatedSeries:
                 for v, cv in items:
                     w = u + v
                     out[w] = out.get(w, 0) + cu * cv
-        return TruncatedSeries(self.alphabet, self.modulus, cap, out)
+        return TruncatedSeries(self.alphabet, self.modulus, self.degree, out)
 
     def terms(self) -> list[tuple[WordKey, int]]:
         """(word key, coefficient) pairs in preceq order."""
@@ -215,12 +194,6 @@ class TruncatedSeries:
 
     def support(self) -> list[Word]:
         return [Word(self.alphabet, key) for key, _ in self.terms()]
-
-    def min_support_degree(self) -> Optional[int]:
-        """Smallest degree carrying a nonzero term, None for the zero series."""
-        if not self.coeffs:
-            return None
-        return min(len(key) for key in self.coeffs)
 
     def homogeneous_part(self, d: int) -> "TruncatedSeries":
         return TruncatedSeries(
@@ -231,16 +204,30 @@ class TruncatedSeries:
         )
 
     def __str__(self) -> str:
-        pairs = []
+        # Signed coefficients, balanced residues over Z/p^k, preceq order.
+        if not self.coeffs:
+            return "0"
+        chunks = []
         for key, c in self.terms():
             if self.modulus is not None:
                 c = ModCoeff(c, self.modulus).balanced()
-            pairs.append((key, c))
-        return _format_terms(pairs, self.alphabet)
+            word = str(Word(self.alphabet, key)) if key else ""
+            if not word:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = word
+            else:
+                body = f"{abs(c)}·{word}"
+            if not chunks:
+                chunks.append(body if c > 0 else f"-{body}")
+            else:
+                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(chunks)
 
     def __repr__(self) -> str:
         mod = "Z" if self.modulus is None else f"Z/{self.modulus}"
-        return f"TruncatedSeries({self} over {mod}, deg<={self.degree})"
+        deg = "untruncated" if self.degree is None else f"deg<={self.degree}"
+        return f"TruncatedSeries({self} over {mod}, {deg})"
 
     def to_json(self) -> dict:
         return {
@@ -258,11 +245,7 @@ class TruncatedSeries:
             alphabet.word(t["word"]).indices: int(t["coeff"])
             for t in data["terms"]
         }
-        return cls(alphabet, data["modulus"], int(data["degree"]), coeffs)
-
-
-def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f * g
+        return cls(alphabet, data["modulus"], data["degree"], coeffs)
 
 
 def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -285,6 +268,8 @@ def series_invert(f: TruncatedSeries) -> TruncatedSeries:
     Requires the constant term to be a unit: +-1 over exact integers,
     coprime to p over Z/p^k.
     """
+    if f.degree is None:
+        raise ValueError("an untruncated polynomial has no inverse")
     c = f.coeffs.get((), 0)
     if f.modulus is None:
         if c not in (1, -1):
@@ -338,109 +323,7 @@ def eps_exact(g: GroupWord, w: Word) -> int:
     return magnus(g, None, len(w)).coeffs.get(w.indices, 0)
 
 
-class IntPoly:
-    """Finitely supported integer polynomial in noncommuting letters."""
-
-    __slots__ = ("alphabet", "coeffs")
-
-    def __init__(
-        self, alphabet: Alphabet, coeffs: Optional[Mapping[WordKey, int]] = None
-    ):
-        clean = {key: c for key, c in (coeffs or {}).items() if c}
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "IntPoly":
-        return cls(alphabet, {})
-
-    @classmethod
-    def from_word(cls, w: Word, c: int = 1) -> "IntPoly":
-        return cls(w.alphabet, {w.indices: c})
-
-    def _check(self, other: "IntPoly") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("polynomials over different alphabets")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntPoly)
-            and self.alphabet == other.alphabet
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return IntPoly(self.alphabet, out)
-
-    def __neg__(self) -> "IntPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def scale(self, c: int) -> "IntPoly":
-        return IntPoly(self.alphabet, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        self._check(other)
-        out: dict[WordKey, int] = {}
-        for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
-                w = u + v
-                out[w] = out.get(w, 0) + cu * cv
-        return IntPoly(self.alphabet, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Largest word length in the support; 0 for the zero polynomial."""
-        return max((len(k) for k in self.coeffs), default=0)
-
-    def homogeneous_part(self, d: int) -> "IntPoly":
-        return IntPoly(
-            self.alphabet, {k: c for k, c in self.coeffs.items() if len(k) == d}
-        )
-
-    def terms(self) -> list[tuple[WordKey, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def support(self) -> list[Word]:
-        return [Word(self.alphabet, key) for key, _ in self.terms()]
-
-    def __str__(self) -> str:
-        return _format_terms(self.terms(), self.alphabet)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({self})"
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"word": str(Word(self.alphabet, key)), "coeff": c}
-                for key, c in self.terms()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, alphabet: Alphabet, data: dict) -> "IntPoly":
-        return cls(
-            alphabet,
-            {
-                alphabet.word(t["word"]).indices: int(t["coeff"])
-                for t in data["terms"]
-            },
-        )
-
-
-def inner_product(f: TruncatedSeries, q: IntPoly):
+def inner_product(f: TruncatedSeries, q: TruncatedSeries):
     """Sum of f_w * q_w over all words; ModCoeff, or int on the exact path.
 
     The polynomial must not reach beyond the series truncation, otherwise
@@ -448,7 +331,7 @@ def inner_product(f: TruncatedSeries, q: IntPoly):
     """
     if f.alphabet != q.alphabet:
         raise ValueError("series and polynomial over different alphabets")
-    if q.degree() > f.degree:
+    if f.degree is not None and max(map(len, q.coeffs), default=0) > f.degree:
         raise ValueError("polynomial degree exceeds series truncation")
     total = sum(f.coeffs.get(key, 0) * c for key, c in q.coeffs.items())
     if f.modulus is None:
@@ -485,7 +368,7 @@ def lower_central_test(g: GroupWord, n: int) -> bool:
     return all(not key for key in f.coeffs)
 
 
-def p_poly(w: Word) -> IntPoly:
+def p_poly(w: Word) -> TruncatedSeries:
     """The homogeneous bracket polynomial of a Lyndon word.
 
     Single letters map to themselves; w = w'w'' (standard factorization)
@@ -494,7 +377,7 @@ def p_poly(w: Word) -> IntPoly:
     if not is_lyndon(w):
         raise ValueError(f"{w!r} is not a Lyndon word")
     if len(w) == 1:
-        return IntPoly.from_word(w)
+        return TruncatedSeries(w.alphabet, None, None, {w.indices: 1})
     left, right = standard_factorization(w)
     a, b = p_poly(left), p_poly(right)
     return a * b - b * a

@@ -2,8 +2,9 @@
 
 The shuffle of two words sums all interleavings with multiplicity; the
 infiltration also allows matching letters to overlap, and its top-degree
-part is exactly the shuffle.  Both live in :class:`~lynmag.series.IntPoly`
-with exact integer coefficients.
+part is exactly the shuffle.  Both are untruncated
+:class:`~lynmag.series.TruncatedSeries` values with exact integer
+coefficients.
 
 Row-reducing all pairwise shuffles of a fixed total degree d over F_p
 gives :class:`ShuffleSpanBasis`.  For p > 3 and d <= 3 the Lyndon words
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .freegrp import GroupWord
 from .linalg import rref_mod_p, solve_mod_p
-from .series import IntPoly, WordKey, inner_product, is_prime, magnus
+from .series import TruncatedSeries, WordKey, inner_product, is_prime, magnus
 from .words import Alphabet, Word, lyndon_words
 
 
@@ -72,16 +73,18 @@ def _check_factors(u: Word, v: Word) -> None:
         raise ValueError("shuffle factors must be nonempty")
 
 
-def shuffle(u: Word, v: Word) -> IntPoly:
+def shuffle(u: Word, v: Word) -> TruncatedSeries:
     """Sum over all interleavings of u and v, with multiplicity."""
     _check_factors(u, v)
-    return IntPoly(u.alphabet, _shuffle_keys(u.indices, v.indices))
+    return TruncatedSeries(u.alphabet, None, None, _shuffle_keys(u.indices, v.indices))
 
 
-def infiltration(u: Word, v: Word) -> IntPoly:
+def infiltration(u: Word, v: Word) -> TruncatedSeries:
     """Like shuffle, but positions of equal letters may also coincide."""
     _check_factors(u, v)
-    return IntPoly(u.alphabet, _infiltration_keys(u.indices, v.indices))
+    return TruncatedSeries(
+        u.alphabet, None, None, _infiltration_keys(u.indices, v.indices)
+    )
 
 
 def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
@@ -126,7 +129,7 @@ def shuffle_congruence_check(
     return value % p ** (n - s + 1) == 0
 
 
-def palindrome_identity(w: Word) -> tuple[IntPoly, IntPoly]:
+def palindrome_identity(w: Word) -> tuple[TruncatedSeries, TruncatedSeries]:
     """(x_1...x_k) + (-1)^k (x_k...x_1) as an alternating sum of shuffles.
 
     The right side is sum over l of (-1)^(l-1) shuffle(u_l, v_l) with
@@ -139,9 +142,10 @@ def palindrome_identity(w: Word) -> tuple[IntPoly, IntPoly]:
         raise ValueError("need at least two letters")
     if len(set(w.indices)) != k:
         raise ValueError("letters must be pairwise distinct")
-    reverse = Word(w.alphabet, w.indices[::-1])
-    lhs = IntPoly.from_word(w) + IntPoly.from_word(reverse, (-1) ** k)
-    rhs = IntPoly.zero(w.alphabet)
+    lhs = TruncatedSeries(
+        w.alphabet, None, None, {w.indices: 1, w.indices[::-1]: (-1) ** k}
+    )
+    rhs = TruncatedSeries(w.alphabet, None, None)
     for cut in range(1, k):
         u = Word(w.alphabet, w.indices[:cut][::-1])
         v = Word(w.alphabet, w.indices[cut:])
@@ -195,7 +199,7 @@ class ShuffleSpanBasis:
         vec[self._col[w.indices]] = 1
         return vec
 
-    def poly_vector(self, q: IntPoly) -> np.ndarray:
+    def poly_vector(self, q: TruncatedSeries) -> np.ndarray:
         if q.alphabet != self.alphabet:
             raise ValueError("polynomial over a different alphabet")
         vec = np.zeros(len(self.columns), dtype=np.int64)
@@ -213,7 +217,7 @@ class ShuffleSpanBasis:
                 out = (out - out[col] * self.rows[row]) % self.p
         return out
 
-    def contains(self, q: IntPoly) -> bool:
+    def contains(self, q: TruncatedSeries) -> bool:
         """Whether q lies in the span of shuffles, mod p."""
         return not self.reduce_vector(self.poly_vector(q)).any()
 
@@ -221,6 +225,10 @@ class ShuffleSpanBasis:
         # Free (non-pivot) coordinates of the reduced Lyndon word images.
         free = [c for c in range(len(self.columns)) if c not in set(self.pivots)]
         lyn = [w for w in lyndon_words(self.alphabet, self.degree) if len(w) == self.degree]
+        if len(lyn) != self.quotient_dim:
+            raise ConsistencyError(
+                f"{len(lyn)} Lyndon words vs quotient dimension {self.quotient_dim}"
+            )
         images = np.zeros((len(free), len(lyn)), dtype=np.int64)
         for j, w in enumerate(lyn):
             images[:, j] = self.reduce_vector(self.word_vector(w))[free]
@@ -228,11 +236,11 @@ class ShuffleSpanBasis:
 
     def lyndon_coordinates(self, w: Word) -> dict[Word, int]:
         """The class of w written in the Lyndon-word basis of the quotient."""
-        lyn, images, free = self._lyndon_system()
-        if len(lyn) != self.quotient_dim:
-            raise ConsistencyError(
-                f"{len(lyn)} Lyndon words vs quotient dimension {self.quotient_dim}"
-            )
+        return self._solve(w, *self._lyndon_system())
+
+    def _solve(
+        self, w: Word, lyn: list[Word], images: np.ndarray, free: list[int]
+    ) -> dict[Word, int]:
         target = self.reduce_vector(self.word_vector(w))[free]
         try:
             coeffs = solve_mod_p(images, target, self.p)
@@ -245,10 +253,9 @@ class ShuffleSpanBasis:
 
     def lyndon_map(self) -> dict[Word, dict[Word, int]]:
         """Lyndon-basis coordinates for every word of this degree."""
-        return {
-            Word(self.alphabet, key): self.lyndon_coordinates(Word(self.alphabet, key))
-            for key in self.columns
-        }
+        system = self._lyndon_system()
+        words = [Word(self.alphabet, key) for key in self.columns]
+        return {w: self._solve(w, *system) for w in words}
 
     def to_json(self) -> dict:
         report = {

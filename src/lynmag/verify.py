@@ -17,7 +17,7 @@ from .errors import ConsistencyError
 from .freegrp import GroupWord, gr_generators, parse_group_word, tau
 from .matgrp import UnipotentMatrix, generate_group, lower_p_central, rho
 from .pairing import h2_dimension, pairing, pairing_matrix, vanishing_checks
-from .series import IntPoly, koch_test, magnus, p_poly
+from .series import TruncatedSeries, koch_test, magnus, p_poly
 from .shufalg import (
     cfl_check,
     palindrome_identity,
@@ -66,15 +66,18 @@ CONGRUENCE_TABLE = (
 )
 
 
+# Scale of the randomized suites.
+SIGMA_COUNT = 1000  # random group words in the cfl suite
+SAMPLE_COUNT = 100  # filtration samples per (p, n)
+PAIR_COUNT = 1000  # random pairs in the homomorphism suites
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for the randomized suites; defaults match the shipped scale."""
+    """Inputs of the randomized suites."""
 
     seed: int = 0
     sigma: Optional[str] = None  # fixed group word for the cfl suite
-    sigma_count: int = 1000  # random group words in the cfl suite
-    sample_count: int = 100  # filtration samples per (p, n)
-    pair_count: int = 1000  # random pairs in the homomorphism suites
 
 
 def _rng(config: VerifyConfig, label: str) -> random.Random:
@@ -261,7 +264,7 @@ def _check_koch_criterion(config: VerifyConfig):
             if not koch_test(g, n, p):
                 failures.append(f"generator tau({w}) p={p} n={n}")
         rng = _rng(config, f"koch:{p}:{n}")
-        for _ in range(config.sample_count):
+        for _ in range(SAMPLE_COUNT):
             g = random_filtration_element(gens, rng)
             samples += 1
             if not koch_test(g, n, p):
@@ -284,9 +287,7 @@ def _check_cfl_identity(config: VerifyConfig):
     for p in (2, 3, 5):
         if sigmas is None:
             rng = _rng(config, f"cfl:{p}")
-            batch = [
-                random_group_word(XY, rng, 8) for _ in range(config.sigma_count)
-            ]
+            batch = [random_group_word(XY, rng, 8) for _ in range(SIGMA_COUNT)]
         else:
             batch = sigmas
         for sigma in batch:
@@ -296,7 +297,7 @@ def _check_cfl_identity(config: VerifyConfig):
                     failures.append(f"p={p} u={u} v={v} sigma={sigma}")
     details = {
         "pairs": len(pairs),
-        "words_per_prime": config.sigma_count if sigmas is None else 1,
+        "words_per_prime": SIGMA_COUNT if sigmas is None else 1,
         "checked": checked,
     }
     if failures:
@@ -317,7 +318,7 @@ def _check_shuffle_congruence(config: VerifyConfig):
         ]
         gens = gr_generators(n, p, XY)
         rng = _rng(config, f"shuffle-congruence:{p}:{n}")
-        for _ in range(config.sample_count):
+        for _ in range(SAMPLE_COUNT):
             sigma = random_filtration_element(gens, rng)
             for u, v in pairs:
                 checked += 1
@@ -338,11 +339,9 @@ def _check_shuffle_congruence(config: VerifyConfig):
     return not failures, details
 
 
-def _poly_from(alphabet: Alphabet, coeffs: dict) -> IntPoly:
-    out = IntPoly.zero(alphabet)
-    for text, c in coeffs.items():
-        out = out + IntPoly.from_word(alphabet.word(text), c)
-    return out
+def _poly_from(alphabet: Alphabet, coeffs: dict) -> TruncatedSeries:
+    keys = {alphabet.word(text).indices: c for text, c in coeffs.items()}
+    return TruncatedSeries(alphabet, None, None, keys)
 
 
 def _check_shuffle_span_structure(config: VerifyConfig):
@@ -375,7 +374,7 @@ def _check_shuffle_span_structure(config: VerifyConfig):
     # Sign probe: with the reversed word taken negatively at k=3 the
     # combination is a shuffle; taken positively it is not.
     basis = shuffle_span_basis(3, 5, XYZ)
-    fwd, bwd = IntPoly.from_word(XYZ.word("xyz")), IntPoly.from_word(XYZ.word("zyx"))
+    fwd, bwd = _poly_from(XYZ, {"xyz": 1}), _poly_from(XYZ, {"zyx": 1})
     details["palindrome_sign"] = {
         "reversed_word_sign": "(-1)^k",
         "minus_at_k3_in_span": basis.contains(fwd - bwd),
@@ -394,7 +393,7 @@ def _check_homomorphism_properties(config: VerifyConfig):
     moduli = (16, 81, 625)
     magnus_pairs = 0
     rho_pairs = 0
-    for _ in range(config.pair_count):
+    for _ in range(PAIR_COUNT):
         alphabet = XY if rng.random() < 0.5 else XYZ
         g = random_group_word(alphabet, rng, 6)
         h = random_group_word(alphabet, rng, 6)

@@ -72,9 +72,6 @@ class Alphabet:
             tokens = text.split("·")
         return Word(self, tuple(self.index(t) for t in tokens))
 
-    def word_from_letters(self, letters: Iterable[str]) -> "Word":
-        return Word(self, tuple(self.index(l) for l in letters))
-
 
 @dataclass(frozen=True)
 class Word:

@@ -151,10 +151,20 @@ class TestShuffle:
         code, out, _ = run(["shuffle", "x", "y", "--format", "json"], capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["shuffle"]["terms"] == [
-            {"word": "xy", "coeff": 1},
-            {"word": "yx", "coeff": 1},
-        ]
+        assert report["shuffle"] == {
+            "terms": [{"word": "xy", "coeff": 1}, {"word": "yx", "coeff": 1}]
+        }
+        code, out, _ = run(
+            ["shuffle", "xy", "y", "--infiltration", "--format", "json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["infiltration"] == {
+            "terms": [
+                {"word": "xy", "coeff": 1},
+                {"word": "xyy", "coeff": 2},
+                {"word": "yxy", "coeff": 1},
+            ]
+        }
 
     def test_span_report(self, capsys):
         code, out, _ = run(
@@ -257,6 +267,15 @@ class TestConfigPlumbing:
         code, _, err = run(["lyndon", "--config", str(cfg)], capsys)
         assert code == 2
         assert "key=value" in err
+
+    @pytest.mark.parametrize("line", ["bogus=1", "group_cap=10"])
+    def test_unknown_config_key(self, line, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=3\n{line}\n")
+        code, out, err = run(["lyndon", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert line.split("=")[0] in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(["lyndon", "--config", str(tmp_path / "nope.cfg")], capsys)

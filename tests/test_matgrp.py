@@ -12,7 +12,6 @@ from lynmag.matgrp import (
     iota,
     lower_p_central,
     mat_commutator,
-    mat_mul,
     rho,
 )
 from lynmag.words import Alphabet
@@ -80,9 +79,9 @@ class TestMatrixArithmetic:
         with pytest.raises(ValueError):
             UnipotentMatrix.from_entries(3, 5, {(2, 1): 1})
         with pytest.raises(ValueError):
-            mat_mul(E(3, 5, 1, 2), E(3, 25, 1, 2))
+            E(3, 5, 1, 2) * E(3, 25, 1, 2)
         with pytest.raises(ValueError):
-            mat_mul(E(3, 5, 1, 2), E(4, 5, 1, 2))
+            E(3, 5, 1, 2) * E(4, 5, 1, 2)
 
     def test_commutator(self):
         a, b = E(3, 9, 1, 2), E(3, 9, 2, 3)

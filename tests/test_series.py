@@ -6,7 +6,6 @@ import pytest
 
 from lynmag.freegrp import GroupWord, commutator, parse_group_word, tau
 from lynmag.series import (
-    IntPoly,
     ModCoeff,
     TruncatedSeries,
     commutator_coeff_check,
@@ -20,7 +19,6 @@ from lynmag.series import (
     p_poly,
     prime_power,
     series_invert,
-    series_mul,
     series_pow,
 )
 from lynmag.words import Alphabet
@@ -38,10 +36,9 @@ def ts(alphabet, modulus, degree, text_coeffs: dict) -> TruncatedSeries:
     return TruncatedSeries(alphabet, modulus, degree, coeffs)
 
 
-def poly(alphabet, text_coeffs: dict) -> IntPoly:
-    return IntPoly(
-        alphabet, {alphabet.word(w).indices: c for w, c in text_coeffs.items()}
-    )
+def poly(alphabet, text_coeffs: dict) -> TruncatedSeries:
+    """An untruncated exact polynomial."""
+    return ts(alphabet, None, None, text_coeffs)
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, max_letters: int) -> GroupWord:
@@ -116,11 +113,22 @@ class TestSeriesArithmetic:
     def test_mismatch_errors(self):
         f = ts(XY, 9, 2, {"x": 1})
         with pytest.raises(ValueError):
-            series_mul(f, ts(XY, 27, 2, {"x": 1}))
+            f * ts(XY, 27, 2, {"x": 1})
         with pytest.raises(ValueError):
-            series_mul(f, ts(XY, 9, 3, {"x": 1}))
+            f * ts(XY, 9, 3, {"x": 1})
         with pytest.raises(ValueError):
-            series_mul(f, ts(XYZ, 9, 2, {"x": 1}))
+            f * ts(XYZ, 9, 2, {"x": 1})
+        with pytest.raises(ValueError):
+            f * ts(XY, 9, None, {"x": 1})
+
+    def test_untruncated_keeps_every_degree(self):
+        x = poly(XY, {"x": 1})
+        one_x = poly(XY, {"": 1, "x": 1})
+        assert (x * x * x).coeffs == {(0, 0, 0): 1}
+        assert one_x * one_x == poly(XY, {"": 1, "x": 2, "xx": 1})
+        assert series_pow(one_x, 3).coeffs[(0, 0, 0)] == 1
+        with pytest.raises(ValueError):
+            series_invert(one_x)
 
 
 class TestInversion:
@@ -229,7 +237,7 @@ class TestInnerProduct:
     def test_examples(self):
         f = ts(XY, 9, 2, {"": 1, "x": 1, "xy": 1})
         assert inner_product(f, poly(XY, {"xy": 1})).value == 1
-        assert inner_product(f, IntPoly.zero(XY)).value == 0
+        assert inner_product(f, poly(XY, {})).value == 0
         assert inner_product(f, poly(XY, {"x": 2, "xy": 3})).value == 5
 
     def test_exact_path(self):
@@ -240,6 +248,9 @@ class TestInnerProduct:
         f = ts(XY, 9, 1, {"x": 1})
         with pytest.raises(ValueError):
             inner_product(f, poly(XY, {"xy": 1}))
+        # An untruncated series takes polynomials of any degree.
+        g = ts(XY, None, None, {"xyx": 2})
+        assert inner_product(g, poly(XY, {"xyx": 3, "y": 1})) == 6
 
 
 class TestMembershipTests:
@@ -286,7 +297,7 @@ class TestPPoly:
 
         for w in lyndon_words(XY, 4):
             q = p_poly(w)
-            assert q.degree() == len(w)
+            assert max(map(len, q.coeffs)) == len(w)
             assert q.homogeneous_part(len(w)) == q
             assert q.coeffs[w.indices] == 1
 
@@ -310,7 +321,7 @@ class TestTriangularity:
         from lynmag.words import lyndon_words
 
         for w in lyndon_words(XY, 4) + lyndon_words(XYZ, 3):
-            tail = p_poly(w) - IntPoly.from_word(w)
+            tail = p_poly(w) - TruncatedSeries(w.alphabet, None, None, {w.indices: 1})
             for key in tail.coeffs:
                 assert len(key) == len(w)
                 assert key > w.indices  # strictly alp-greater, same length
@@ -349,12 +360,15 @@ class TestSerialization:
         assert words == sorted(words, key=lambda s: (len(s), s))
         assert TruncatedSeries.from_json(XY, data) == f
 
-    def test_intpoly_json_roundtrip(self):
+    def test_untruncated_json_roundtrip(self):
         q = p_poly(XY.word("xxy"))
-        assert IntPoly.from_json(XY, q.to_json()) == q
+        data = q.to_json()
+        assert data["modulus"] is None and data["degree"] is None
+        assert TruncatedSeries.from_json(XY, data) == q
 
     def test_str_formats(self):
         assert str(ts(XY, None, 2, {"": 1, "xy": 1, "yx": -1})) == "1 + xy - yx"
         assert str(ts(XY, 9, 2, {"x": 8})) == "-x"
         assert str(ts(XY, None, 2, {"xx": 3})) == "3·xx"
-        assert str(IntPoly.zero(XY)) == "0"
+        assert str(poly(XY, {})) == "0"
+        assert str(poly(XY, {"xy": 1, "yx": -2})) == "xy - 2·yx"

@@ -12,6 +12,7 @@ import numpy as np
 
 from lynmag import (
     Alphabet,
+    balanced,
     dual_change_of_basis,
     h2_dimension,
     pairing,
@@ -24,7 +25,7 @@ XYZ = Alphabet(("x", "y", "z"))
 print("Single pairings at depth n = 2, p = 3:")
 for w, w2 in (("x", "x"), ("x", "y"), ("xy", "xy"), ("xy", "yx")):
     value = pairing(XYZ.word(w), XYZ.word(w2), 2, 3)
-    print(f"  <({w}), ({w2})>_2 = {value.balanced()}")
+    print(f"  <({w}), ({w2})>_2 = {balanced(value, 3)}")
 
 print("\nAt depth 2 the matrix is the identity for every small prime:")
 for p in (2, 3, 5):
@@ -38,8 +39,7 @@ for w in m.index:
     for w2 in m.index:
         v = m.entry(w, w2)
         if v and w != w2:
-            shown = v - 5 if v > 2 else v
-            print(f"  entry (({w}), ({w2})) = {shown}")
+            print(f"  entry (({w}), ({w2})) = {balanced(v, 5)}")
 
 print("\nDepth 4 over {x, y} is 8-dimensional (2+1+2+3 Lyndon words):")
 m4 = pairing_matrix(4, 2, XY)

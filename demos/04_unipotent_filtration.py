@@ -32,7 +32,7 @@ g3 = parse_group_word(XY, "[x, y]^3")
 m3 = rho(XY.word("xy"), g3, 9)
 value = iota(3, 2, m3)
 print(f"  corner of rho^(xy)([x,y]^3) mod 9 is {m3.entry(1, 3)}")
-print(f"  iota(3, 2, .) divides out p^(n-s): {value.value} mod {value.modulus}")
+print(f"  iota(3, 2, .) divides out p^(n-s): {value} mod 3")
 
 print("\nClosing the elementary generators of U_3(Z/4):")
 gens = [

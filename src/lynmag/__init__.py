@@ -28,7 +28,6 @@ from .matgrp import (
     generate_group,
     iota,
     lower_p_central,
-    mat_commutator,
     rho,
 )
 from .pairing import (
@@ -40,10 +39,9 @@ from .pairing import (
     vanishing_checks,
 )
 from .series import (
-    ModCoeff,
     TruncatedSeries,
+    balanced,
     eps,
-    eps_exact,
     inner_product,
     koch_test,
     lower_central_test,
@@ -91,11 +89,10 @@ __all__ = [
     "parse_group_word",
     "gr_generators",
     "tau",
-    "ModCoeff",
     "TruncatedSeries",
+    "balanced",
     "magnus",
     "eps",
-    "eps_exact",
     "inner_product",
     "koch_test",
     "lower_central_test",
@@ -104,7 +101,6 @@ __all__ = [
     "FiniteGroupTable",
     "generate_group",
     "lower_p_central",
-    "mat_commutator",
     "rho",
     "iota",
     "PairingMatrix",

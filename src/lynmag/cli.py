@@ -17,9 +17,9 @@ from typing import Optional
 
 from .errors import ConsistencyError
 from .freegrp import format_group_word, parse_group_word
-from .matgrp import rho
+from .matgrp import UnipotentMatrix, rho
 from .pairing import pairing_matrix
-from .series import ModCoeff, is_prime, koch_test, magnus, prime_power
+from .series import balanced, is_prime, koch_test, magnus, prime_power
 from .shufalg import infiltration, reduce_mod_shuffles, shuffle, shuffle_span_basis
 from .verify import CHECKS, VerifyConfig, run_checks
 from .words import Alphabet, lyndon_words, necklace
@@ -57,7 +57,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = parse_config_file(args.config) if args.config else {}
     known: set[str] = set()
 
     def pick(key: str, default, convert):
@@ -168,7 +168,7 @@ def cmd_pairing_matrix(config: RunConfig, args: argparse.Namespace) -> int:
         labels = [str(w) for w in matrix.index]
         width = max(len(s) for s in labels)
         cells = [
-            [str(ModCoeff(int(v), config.p).balanced()) for v in row]
+            [str(balanced(int(v), config.p)) for v in row]
             for row in matrix.rows
         ]
         cell_width = max(2, max(len(c) for row in cells for c in row), width)
@@ -246,12 +246,7 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
         if "rho" in payload:
             for w_text, data in payload["rho"].items():
                 lines.append(f"rho^({w_text}) mod {config.mod}:")
-                size = data["size"]
-                dense = [[0] * size for _ in range(size)]
-                for i in range(size):
-                    dense[i][i] = 1
-                for i, j, v in data["entries"]:
-                    dense[i - 1][j - 1] = v
+                dense = UnipotentMatrix.from_json(data).dense()
                 width = max(len(str(v)) for row in dense for v in row)
                 for row in dense:
                     lines.append("  " + " ".join(str(v).rjust(width) for v in row))
@@ -338,16 +333,27 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, help="prime, 2..13 (default 2)")
-    sub.add_argument("--n", type=int, help="filtration depth, 1..6 (default 2)")
-    sub.add_argument("--alphabet", help="letters, e.g. xy or xyz (default xy)")
-    sub.add_argument("--deg", type=int, help="truncation or span degree")
-    sub.add_argument("--mod", type=int, help="prime-power working modulus")
-    sub.add_argument("--seed", type=int, help="seed for randomized suites (default 0)")
-    sub.add_argument("--format", choices=FORMATS, help="output format (default text)")
-    sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--config", help="key=value config file; flags override it")
+FLAGS = {
+    "p": {"type": int, "help": "prime, 2..13 (default 2)"},
+    "n": {"type": int, "help": "filtration depth, 1..6 (default 2)"},
+    "alphabet": {"help": "letters, e.g. xy or xyz (default xy)"},
+    "deg": {"type": int, "help": "truncation or span degree"},
+    "mod": {"type": int, "help": "prime-power working modulus"},
+    "seed": {"type": int, "help": "seed for randomized suites (default 0)"},
+    "format": {"choices": FORMATS, "help": "output format (default text)"},
+    "out": {"help": "write output to this file instead of stdout"},
+    "config": {"help": "key=value config file; flags override it"},
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *reads: str) -> None:
+    """Register the flags a subcommand reads, plus seed, format, out, config.
+
+    Passing a flag the subcommand would ignore is then a usage error.
+    """
+    for name, kwargs in FLAGS.items():
+        if name in reads or name in ("seed", "format", "out", "config"):
+            sub.add_argument(f"--{name}", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("lyndon", help="enumerate Lyndon words with counts")
-    _add_common(sub)
+    _add_flags(sub, "alphabet", "n")
     sub.set_defaults(handler=cmd_lyndon)
 
     sub = subs.add_parser("pairing-matrix", help="duality pairing matrix")
-    _add_common(sub)
+    _add_flags(sub, "p", "alphabet", "n")
     sub.set_defaults(handler=cmd_pairing_matrix)
 
     sub = subs.add_parser("magnus", help="Magnus expansion of a group word")
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--coeff", help="comma-separated words to read off")
     sub.add_argument("--koch", action="store_true", help="report the divisibility verdict")
     sub.add_argument("--rho", help="comma-separated index words for matrices")
-    _add_common(sub)
+    _add_flags(sub, "p", "n", "alphabet", "deg", "mod")
     sub.set_defaults(handler=cmd_magnus)
 
     sub = subs.add_parser("shuffle", help="shuffle products and span reduction")
@@ -381,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--span", action="store_true", help="span report at --deg")
     sub.add_argument("--reduce", help="write this word in the Lyndon basis")
-    _add_common(sub)
+    _add_flags(sub, "p", "alphabet", "deg")
     sub.set_defaults(handler=cmd_shuffle)
 
     sub = subs.add_parser("verify", help="run the named verification checks")
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"run one check (repeatable); names: {', '.join(CHECKS)}",
     )
     sub.add_argument("--sigma", help="group word over x,y for the cfl check")
-    _add_common(sub)
+    _add_flags(sub)
     sub.set_defaults(handler=cmd_verify)
 
     return parser

@@ -14,11 +14,16 @@ canonical generating family of each layer of the lower p-central series
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .words import Alphabet, Word, is_lyndon, lyndon_words, standard_factorization
 
 Syllable = tuple[int, int]
+
+# Bounds on the text parse_group_word accepts, so parsing is bounded.
+MAX_SYLLABLES = 65_536
+MAX_NESTING = 100
 
 
 def _reduce(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
@@ -59,11 +64,6 @@ class GroupWord:
     def generator(cls, alphabet: Alphabet, letter: str, exp: int = 1) -> "GroupWord":
         return cls(alphabet, ((alphabet.index(letter), exp),))
 
-    @classmethod
-    def from_word(cls, w: Word) -> "GroupWord":
-        """Embed a plain word letter by letter (all exponents +1)."""
-        return cls(w.alphabet, tuple((i, 1) for i in w.indices))
-
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if self.alphabet != other.alphabet:
             raise ValueError("cannot multiply words over different alphabets")
@@ -93,10 +93,6 @@ class GroupWord:
 
     def is_identity(self) -> bool:
         return not self.syllables
-
-    def length(self) -> int:
-        """Total letter count of the reduced word."""
-        return sum(abs(e) for _, e in self.syllables)
 
     def __str__(self) -> str:
         return format_group_word(self)
@@ -165,9 +161,23 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
     """Parse "x^-1 y x y^3", "[x,y]^2", "1", and nestings thereof.
 
     Tokens are letters with optional caret exponents; square brackets with a
-    comma build commutators and may be nested and carry exponents.
+    comma build commutators and may be nested and carry exponents.  Text
+    that nests brackets deeper than MAX_NESTING, or whose reduced word or
+    any reduced subword would exceed MAX_SYLLABLES syllables, raises
+    ValueError before that word is built.
     """
     tokens = list(_tokenize(text))
+    shown = repr(text if len(text) <= 60 else text[:57] + "...")
+    depths = accumulate((t == "[") - (t == "]") for t in tokens)
+    if max(depths, default=0) > MAX_NESTING:
+        raise ValueError(f"group word {shown} nests brackets deeper than {MAX_NESTING}")
+
+    def capped(syllables: int) -> None:
+        if syllables > MAX_SYLLABLES:
+            raise ValueError(
+                f"group word {shown} expands to more than {MAX_SYLLABLES} syllables"
+            )
+
     if tokens == ["1"]:
         return GroupWord.identity(alphabet)
     pos = 0
@@ -177,6 +187,7 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
         result = GroupWord.identity(alphabet)
         while pos < len(tokens) and tokens[pos] not in stop:
             result = result * parse_factor()
+            capped(len(result.syllables))
         return result
 
     def parse_factor() -> GroupWord:
@@ -193,7 +204,13 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
                 raise ValueError("unclosed commutator bracket")
             pos += 1
             base = commutator(left, right)
-            return base ** _trailing_exponent()
+            k = _trailing_exponent()
+            if abs(k) > 1:
+                # Each further copy of base reduces against its neighbour
+                # as the second does: |base^k| = |b| + (|k|-1)(|b^2| - |b|).
+                one = len(base.syllables)
+                capped(one + (abs(k) - 1) * (len((base * base).syllables) - one))
+            return base ** k
         if token in {"]", ","}:
             raise ValueError(f"unexpected {token!r}")
         pos += 1
@@ -225,14 +242,3 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
     if pos != len(tokens):
         raise ValueError("trailing tokens in group word")
     return result
-
-
-def group_word_to_pairs(g: GroupWord) -> list[list]:
-    """JSON form: a list of [letter, exponent] pairs."""
-    return [[g.alphabet.letters[l], e] for l, e in g.syllables]
-
-
-def group_word_from_pairs(alphabet: Alphabet, pairs: Iterable) -> GroupWord:
-    return GroupWord(
-        alphabet, tuple((alphabet.index(l), int(e)) for l, e in pairs)
-    )

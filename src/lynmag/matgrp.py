@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .freegrp import GroupWord
-from .series import ModCoeff, is_prime, magnus, prime_power
+from .series import is_prime, magnus, prime_power
 from .words import Word
 
 
@@ -173,11 +173,6 @@ class UnipotentMatrix:
         return cls.from_entries(int(data["size"]), int(data["modulus"]), entries)
 
 
-def mat_commutator(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
-    """[a, b] = a^-1 b^-1 a b."""
-    return a.inverse() * b.inverse() * a * b
-
-
 def rho(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
     """The unipotent matrix of Magnus coefficients of subwords of w.
 
@@ -200,11 +195,11 @@ def rho(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
     return UnipotentMatrix(size, modulus, data)
 
 
-def iota(n: int, s: int, matrix: UnipotentMatrix) -> ModCoeff:
+def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:
     """Read the central coordinate of a matrix in the distinguished subgroup.
 
     The matrix must lie in I + Z p^(n-s) E_{1,s+1} over Z/p^(n-s+1); its
-    corner entry a*p^(n-s) maps to a mod p.  Anything else is an error:
+    corner entry a*p^(n-s) maps to a in 0..p-1.  Anything else is an error:
     a silent 0 here would mask real inconsistencies downstream.
     """
     if not (1 <= s <= n):
@@ -230,21 +225,16 @@ def iota(n: int, s: int, matrix: UnipotentMatrix) -> ModCoeff:
         raise ValueError(
             f"corner entry {corner} is not divisible by p^(n-s) = {shift}"
         )
-    return ModCoeff(corner // shift, p)
+    return corner // shift
 
 
 class FiniteGroupTable:
     """An explicit finite group of unipotent matrices."""
 
-    __slots__ = ("elements", "generated_from", "_members")
+    __slots__ = ("elements", "_members")
 
-    def __init__(
-        self,
-        elements: Iterable[UnipotentMatrix],
-        generated_from: Iterable[UnipotentMatrix],
-    ):
+    def __init__(self, elements: Iterable[UnipotentMatrix]):
         self.elements = tuple(elements)
-        self.generated_from = tuple(generated_from)
         self._members = frozenset(self.elements)
 
     def __len__(self) -> int:
@@ -255,9 +245,6 @@ class FiniteGroupTable:
 
     def __contains__(self, m: UnipotentMatrix) -> bool:
         return m in self._members
-
-    def same_elements(self, other: "FiniteGroupTable") -> bool:
-        return self._members == other._members
 
     def __repr__(self) -> str:
         return f"FiniteGroupTable({len(self.elements)} elements)"
@@ -298,7 +285,7 @@ def generate_group(
                     new.append(b)
         frontier = new
     ordered = sorted(seen, key=lambda m: m.data)
-    return FiniteGroupTable(ordered, generators)
+    return FiniteGroupTable(ordered)
 
 
 def lower_p_central(table: FiniteGroupTable, p: int, n: int) -> FiniteGroupTable:

@@ -26,12 +26,12 @@ from .errors import ConsistencyError
 from .freegrp import tau
 from .linalg import inverse_mod_p
 from .matgrp import iota, rho
-from .series import ModCoeff, is_prime, magnus
-from .words import Alphabet, Word, is_lyndon, lyndon_words, necklace, preceq_key
+from .series import balanced, is_prime, magnus
+from .words import Alphabet, Word, is_lyndon, lyndon_words, necklace
 
 
-def pairing(w: Word, w_prime: Word, n: int, p: int) -> ModCoeff:
-    """The pairing of the Lyndon word w against the word w', mod p.
+def pairing(w: Word, w_prime: Word, n: int, p: int) -> int:
+    """The pairing of the Lyndon word w against the word w', in 0..p-1.
 
     Requires 1 <= |w| <= n and 1 <= |w'| <= n, with w Lyndon.  Both
     computation routes run on every call and must agree.
@@ -62,7 +62,7 @@ def pairing(w: Word, w_prime: Word, n: int, p: int) -> ModCoeff:
 
     # matrix route
     try:
-        from_matrix = iota(n, s_prime, rho(w_prime, g, modulus)).value
+        from_matrix = iota(n, s_prime, rho(w_prime, g, modulus))
     except ValueError as exc:
         raise ConsistencyError(
             f"matrix route failed for <{w}, {w_prime}>_{n}: {exc}"
@@ -72,7 +72,7 @@ def pairing(w: Word, w_prime: Word, n: int, p: int) -> ModCoeff:
             f"pairing routes disagree for <{w}, {w_prime}>_{n}: "
             f"series {from_series}, matrix {from_matrix}"
         )
-    return ModCoeff(from_series, p)
+    return from_series
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class PairingMatrix:
         """
 
         def show(v: int) -> str:
-            return str(ModCoeff(int(v), self.p).balanced())
+            return str(balanced(int(v), self.p))
 
         lines = ["w," + ",".join(str(w) for w in self.index)]
         for w, row in zip(self.index, self.rows):
@@ -136,7 +136,7 @@ def pairing_matrix(n: int, p: int, alphabet: Alphabet) -> PairingMatrix:
     rows = np.zeros((d, d), dtype=np.int64)
     for i, w in enumerate(index):
         for j, w_prime in enumerate(index):
-            rows[i, j] = pairing(w, w_prime, n, p).value
+            rows[i, j] = pairing(w, w_prime, n, p)
     for i in range(d):
         if rows[i, i] != 1:
             raise ConsistencyError(
@@ -200,7 +200,7 @@ def vanishing_checks(n: int, p: int, alphabet: Alphabet) -> dict:
             checked += 1
             for rule in rules:
                 by_rule[rule] += 1
-            value = pairing(w, w_prime, n, p).value
+            value = pairing(w, w_prime, n, p)
             if value != 0:
                 counterexamples.append(
                     {"w": str(w), "w_prime": str(w_prime), "value": value}

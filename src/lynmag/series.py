@@ -17,12 +17,11 @@ and lower p-central series (``lower_central_test``, ``koch_test``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
 from .freegrp import GroupWord, commutator
-from .words import Alphabet, Word, is_lyndon, preceq_key, standard_factorization
+from .words import Alphabet, Word, is_lyndon, standard_factorization
 
 WordKey = tuple[int, ...]
 
@@ -38,8 +37,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache
 def prime_power(m: int) -> tuple[int, int]:
-    """Write m = p^k with p prime and k >= 1, or raise ValueError."""
+    """Write m = p^k with p prime and k >= 1, or raise ValueError.
+
+    Memoized: constructors check their modulus on every product, and a
+    run uses few distinct moduli.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     p = 2
@@ -58,28 +62,10 @@ def prime_power(m: int) -> tuple[int, int]:
     return p, k
 
 
-@dataclass(frozen=True)
-class ModCoeff:
-    """A residue 0 <= value < modulus, with modulus a prime power."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        prime_power(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def balanced(self) -> int:
-        """The representative of smallest absolute value (ties positive)."""
-        if self.value <= self.modulus // 2:
-            return self.value
-        return self.value - self.modulus
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"ModCoeff({self.value} mod {self.modulus})"
+def balanced(c: int, m: int) -> int:
+    """The representative of c mod m of smallest absolute value (ties positive)."""
+    c %= m
+    return c if c <= m // 2 else c - m
 
 
 class TruncatedSeries:
@@ -192,9 +178,6 @@ class TruncatedSeries:
         """(word key, coefficient) pairs in preceq order."""
         return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
-    def support(self) -> list[Word]:
-        return [Word(self.alphabet, key) for key, _ in self.terms()]
-
     def homogeneous_part(self, d: int) -> "TruncatedSeries":
         return TruncatedSeries(
             self.alphabet,
@@ -210,7 +193,7 @@ class TruncatedSeries:
         chunks = []
         for key, c in self.terms():
             if self.modulus is not None:
-                c = ModCoeff(c, self.modulus).balanced()
+                c = balanced(c, self.modulus)
             word = str(Word(self.alphabet, key)) if key else ""
             if not word:
                 body = str(abs(c))
@@ -276,8 +259,7 @@ def series_invert(f: TruncatedSeries) -> TruncatedSeries:
             raise ValueError("constant term must be +-1 for exact inversion")
         c_inv = c
     else:
-        p, _ = prime_power(f.modulus)
-        if c % p == 0:
+        if math.gcd(c, f.modulus) != 1:
             raise ValueError("constant term is not invertible")
         c_inv = pow(c, -1, f.modulus)
     one = TruncatedSeries.one(f.alphabet, f.modulus, f.degree)
@@ -308,23 +290,18 @@ def magnus(g: GroupWord, modulus: Optional[int], degree: int) -> TruncatedSeries
     return acc
 
 
-def eps(g: GroupWord, w: Word, modulus: int) -> ModCoeff:
-    """The coefficient of w in the Magnus image of g, as a residue."""
+def eps(g: GroupWord, w: Word, modulus: Optional[int]) -> int:
+    """The coefficient of w in the Magnus image of g.
+
+    A residue in 0..modulus-1, or an exact integer when modulus is None.
+    """
     if g.alphabet != w.alphabet:
         raise ValueError("group word and word use different alphabets")
-    f = magnus(g, modulus, len(w))
-    return ModCoeff(f.coeffs.get(w.indices, 0), modulus)
+    return magnus(g, modulus, len(w)).coeffs.get(w.indices, 0)
 
 
-def eps_exact(g: GroupWord, w: Word) -> int:
-    """The coefficient of w in the Magnus image of g, as an exact integer."""
-    if g.alphabet != w.alphabet:
-        raise ValueError("group word and word use different alphabets")
-    return magnus(g, None, len(w)).coeffs.get(w.indices, 0)
-
-
-def inner_product(f: TruncatedSeries, q: TruncatedSeries):
-    """Sum of f_w * q_w over all words; ModCoeff, or int on the exact path.
+def inner_product(f: TruncatedSeries, q: TruncatedSeries) -> int:
+    """Sum of f_w * q_w over all words, reduced mod f.modulus unless exact.
 
     The polynomial must not reach beyond the series truncation, otherwise
     discarded terms would silently change the answer.
@@ -336,7 +313,7 @@ def inner_product(f: TruncatedSeries, q: TruncatedSeries):
     total = sum(f.coeffs.get(key, 0) * c for key, c in q.coeffs.items())
     if f.modulus is None:
         return total
-    return ModCoeff(total, f.modulus)
+    return total % f.modulus
 
 
 def koch_test(g: GroupWord, n: int, p: int) -> bool:

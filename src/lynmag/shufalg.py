@@ -99,7 +99,7 @@ def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     deg = len(u) + len(v)
     f = magnus(sigma, modulus, deg)
     lhs = f.coefficient(u) * f.coefficient(v)
-    rhs = int(inner_product(f, infiltration(u, v)))
+    rhs = inner_product(f, infiltration(u, v))
     if modulus is None:
         return lhs == rhs
     return (lhs - rhs) % modulus == 0
@@ -125,7 +125,7 @@ def shuffle_congruence_check(
     if s > n:
         raise ValueError(f"|u| + |v| = {s} exceeds n = {n}")
     f = magnus(sigma, p ** (n + 2), s)
-    value = int(inner_product(f, shuffle(u, v)))
+    value = inner_product(f, shuffle(u, v))
     return value % p ** (n - s + 1) == 0
 
 

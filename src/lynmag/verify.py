@@ -149,19 +149,19 @@ def _check_duality_n2(config: VerifyConfig):
             for y in "xyz":
                 values += 1
                 want = 1 if x == y else 0
-                if pairing(w, XYZ.word(y), 2, p).value != want:
+                if pairing(w, XYZ.word(y), 2, p) != want:
                     failures.append(f"<({x}),({y})> p={p}")
             for w2 in all_words(XYZ, 2):
                 values += 1
                 # For p = 2 the square word of the same letter pairs to 1.
                 want = 1 if (p == 2 and w2.indices == w.indices * 2) else 0
-                if pairing(w, w2, 2, p).value != want:
+                if pairing(w, w2, 2, p) != want:
                     failures.append(f"<({x}),({w2})> p={p}")
         for text in ("xy", "xz", "yz"):
             w = XYZ.word(text)
             for y in "xyz":
                 values += 1
-                if pairing(w, XYZ.word(y), 2, p).value != 0:
+                if pairing(w, XYZ.word(y), 2, p) != 0:
                     failures.append(f"<({text}),({y})> p={p}")
             for w2 in all_words(XYZ, 2):
                 values += 1
@@ -171,7 +171,7 @@ def _check_duality_n2(config: VerifyConfig):
                     want = (p - 1) % p
                 else:
                     want = 0
-                if pairing(w, w2, 2, p).value != want:
+                if pairing(w, w2, 2, p) != want:
                     failures.append(f"<({text}),({w2})> p={p}")
     details = {"matrices": matrices, "values": values}
     if failures:

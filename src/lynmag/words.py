@@ -10,7 +10,7 @@ as three-way comparison functions and as sort keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -140,10 +140,6 @@ def preceq_compare(w1: Word, w2: Word) -> int:
     if k1 == k2:
         return 0
     return -1 if k1 < k2 else 1
-
-
-def alp_key(w: Word) -> tuple[int, ...]:
-    return w.indices
 
 
 def preceq_key(w: Word) -> tuple[int, tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -131,6 +132,21 @@ class TestMagnus:
         code, _, err = run(["magnus", "x", "--rho", "x"], capsys)
         assert code == 2
         assert "--mod" in err
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "[" * 22 + "x,y]" + ",y]" * 21,  # 89 bytes, doubles per bracket
+            "[" * 3000 + "x,y]" + ",y]" * 2999,
+            "[x,y]^200000",
+        ],
+    )
+    def test_oversized_word_exits_two_quickly(self, word, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["magnus", word, "--deg", "2", "--mod", "9"], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert "group word '" + word[:20] in err
 
     def test_malformed_word(self, capsys):
         code, _, err = run(["magnus", "x^"], capsys)
@@ -293,8 +309,8 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["lyndon", "--p", "9"],
-            ["lyndon", "--p", "17"],
+            ["pairing-matrix", "--p", "9"],
+            ["pairing-matrix", "--p", "17"],
             ["lyndon", "--n", "0"],
             ["lyndon", "--n", "7"],
             ["lyndon", "--alphabet", "xxy"],
@@ -308,6 +324,25 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["bogus"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--mod", "32"],
+            ["verify", "--check", "lyndon", "--mod", "32", "--p", "7", "--n", "5",
+             "--deg", "9"],
+            ["verify", "--alphabet", "xyz"],
+            ["lyndon", "--p", "3"],
+            ["pairing-matrix", "--deg", "3"],
+            ["shuffle", "x", "y", "--n", "3"],
+            ["shuffle", "x", "y", "--mod", "9"],
+        ],
+    )
+    def test_unread_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_format_choice_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from lynmag.freegrp import (
+    MAX_NESTING,
+    MAX_SYLLABLES,
     GroupWord,
     commutator,
     format_group_word,
     gr_generators,
-    group_word_from_pairs,
-    group_word_to_pairs,
     parse_group_word,
     tau,
 )
@@ -175,8 +175,27 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 gw(bad)
 
-    def test_json_pairs_roundtrip(self):
-        g = gw("x^-1 y x y^3")
-        pairs = group_word_to_pairs(g)
-        assert pairs == [["x", -1], ["y", 1], ["x", 1], ["y", 3]]
-        assert group_word_from_pairs(XY, pairs) == g
+
+class TestInputBounds:
+    def test_power_counted_after_reduction(self):
+        # [x y x^-1, x z x^-1]^k reduces to x (y^-1 z^-1 y z)^k x^-1: 4k + 2
+        # syllables, not k times the 6 of its base.
+        k = (MAX_SYLLABLES - 2) // 4
+        g = gw(f"[x y x^-1, x z x^-1]^{k}", XYZ)
+        assert len(g.syllables) == 4 * k + 2 <= MAX_SYLLABLES
+        with pytest.raises(ValueError, match="syllables"):
+            gw(f"[x y x^-1, x z x^-1]^-{k + 1}", XYZ)
+
+    def test_products_and_nested_commutators_capped(self):
+        k = MAX_SYLLABLES // 4
+        assert len(gw(f"[x,y]^{k}").syllables) == MAX_SYLLABLES
+        with pytest.raises(ValueError, match="syllables"):
+            gw(f"[x,y]^{k} x")
+        with pytest.raises(ValueError, match="syllables"):
+            gw("[" * 22 + "x,y]" + ",y]" * 21)
+
+    def test_nesting_depth(self):
+        trivial = "[" * MAX_NESTING + "x,x]" + ",x]" * (MAX_NESTING - 1)
+        assert gw(trivial).is_identity()
+        with pytest.raises(ValueError, match="nests brackets"):
+            gw("[" + trivial + ",x]")

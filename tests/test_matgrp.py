@@ -11,7 +11,6 @@ from lynmag.matgrp import (
     generate_group,
     iota,
     lower_p_central,
-    mat_commutator,
     rho,
 )
 from lynmag.words import Alphabet
@@ -85,8 +84,9 @@ class TestMatrixArithmetic:
 
     def test_commutator(self):
         a, b = E(3, 9, 1, 2), E(3, 9, 2, 3)
-        assert mat_commutator(a, b) == E(3, 9, 1, 3)
-        assert mat_commutator(a, a).is_identity()
+        # [a, b] = a^-1 b^-1 a b
+        assert a.inverse() * b.inverse() * a * b == E(3, 9, 1, 3)
+        assert (a.inverse() * a.inverse() * a * a).is_identity()
 
 
 class TestRho:
@@ -120,6 +120,10 @@ class TestRho:
         with pytest.raises(ValueError):
             rho(XY.word(""), parse_group_word(XY, "x"), 9)
 
+    def test_modulus_must_be_prime_power(self):
+        with pytest.raises(ValueError):
+            rho(XY.word("xy"), parse_group_word(XY, "[x, y]"), 6)
+
 
 def _random_group_word(rng, max_letters):
     return parse_group_word(
@@ -136,14 +140,14 @@ class TestIota:
         for p, n, s in [(2, 3, 1), (3, 3, 2), (5, 4, 2)]:
             modulus = p ** (n - s + 1)
             shift = p ** (n - s)
-            assert iota(n, s, E(s + 1, modulus, 1, s + 1, shift)).value == 1
-            assert iota(n, s, UnipotentMatrix.identity(s + 1, modulus)).value == 0
+            assert iota(n, s, E(s + 1, modulus, 1, s + 1, shift)) == 1
+            assert iota(n, s, UnipotentMatrix.identity(s + 1, modulus)) == 0
             expected = 2 % p
-            assert iota(n, s, E(s + 1, modulus, 1, s + 1, 2 * shift)).value == expected
+            assert iota(n, s, E(s + 1, modulus, 1, s + 1, 2 * shift)) == expected
 
     def test_residue_modulus_is_p(self):
         got = iota(3, 2, E(3, 9, 1, 3, 6))
-        assert (got.value, got.modulus) == (2, 3)
+        assert type(got) is int and got == 2
 
     def test_rejects_noncentral_matrix(self):
         with pytest.raises(ValueError):
@@ -200,7 +204,7 @@ class TestGenerateGroup:
 class TestLowerPCentral:
     def test_first_term_is_whole_group(self):
         table = generate_group([E(2, 4, 1, 2)])
-        assert lower_p_central(table, 2, 1).same_elements(table)
+        assert set(lower_p_central(table, 2, 1)) == set(table)
 
     def test_rank_one_layers(self):
         # U_2(Z/p^n): the n-th term must be I + p^(n-1) Z E_12

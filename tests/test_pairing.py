@@ -24,7 +24,7 @@ class TestPairingValues:
         for p in (2, 3, 5):
             for n in (1, 2, 3):
                 for w in lyndon_words(XY, n):
-                    assert pairing(w, w, n, p).value == 1
+                    assert pairing(w, w, n, p) == 1
 
     def test_lower_pairs_vanish(self):
         # w' strictly preceq-smaller than w forces 0
@@ -32,17 +32,17 @@ class TestPairingValues:
             ws = lyndon_words(XY, 3)
             for i, w in enumerate(ws):
                 for w_prime in ws[:i]:
-                    assert pairing(w, w_prime, 3, p).value == 0
+                    assert pairing(w, w_prime, 3, p) == 0
 
     def test_pinned_degree_three_values(self):
         for p in (2, 3, 5):
-            assert pairing(XY.word("xxy"), XY.word("xyy"), 3, p).value == 0
-            got = pairing(XYZ.word("xyz"), XYZ.word("xzy"), 3, p).value
+            assert pairing(XY.word("xxy"), XY.word("xyy"), 3, p) == 0
+            got = pairing(XYZ.word("xyz"), XYZ.word("xzy"), 3, p)
             assert got == (p - 1) % p
 
     def test_result_is_mod_p(self):
         r = pairing(XY.word("x"), XY.word("x"), 3, 5)
-        assert r.modulus == 5
+        assert type(r) is int and r == 1 and 0 <= r < 5
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -63,14 +63,14 @@ class TestDualityTableDegreeTwo:
     def test_letter_against_own_power_row(self):
         for p in (2, 3, 5):
             for x in "xyz":
-                assert pairing(XYZ.word(x), XYZ.word(x), 2, p).value == 1
+                assert pairing(XYZ.word(x), XYZ.word(x), 2, p) == 1
 
     def test_letter_against_other_letter(self):
         for p in (2, 3, 5):
             for x in "xyz":
                 for y in "xyz":
                     if x != y:
-                        assert pairing(XYZ.word(x), XYZ.word(y), 2, p).value == 0
+                        assert pairing(XYZ.word(x), XYZ.word(y), 2, p) == 0
 
     def test_letter_against_length_two_words(self):
         # Zero throughout, except the p=2 coincidence at w' = xx, where the
@@ -79,7 +79,7 @@ class TestDualityTableDegreeTwo:
             for x in "xyz":
                 w = XYZ.word(x)
                 for w_prime in all_words(XYZ, 2):
-                    got = pairing(w, w_prime, 2, p).value
+                    got = pairing(w, w_prime, 2, p)
                     if p == 2 and w_prime.indices == (w.indices[0],) * 2:
                         assert got == 1
                     else:
@@ -89,7 +89,7 @@ class TestDualityTableDegreeTwo:
         for p in (2, 3, 5):
             for pair in ("xy", "xz", "yz"):
                 for z in "xyz":
-                    assert pairing(XYZ.word(pair), XYZ.word(z), 2, p).value == 0
+                    assert pairing(XYZ.word(pair), XYZ.word(z), 2, p) == 0
 
     def test_commutator_against_pairs(self):
         for p in (2, 3, 5):
@@ -97,7 +97,7 @@ class TestDualityTableDegreeTwo:
                 w = XYZ.word(pair)
                 rev = pair[::-1]
                 for w_prime in all_words(XYZ, 2):
-                    got = pairing(w, w_prime, 2, p).value
+                    got = pairing(w, w_prime, 2, p)
                     if str(w_prime) == pair:
                         assert got == 1
                     elif str(w_prime) == rev:
@@ -185,10 +185,10 @@ class TestVanishingChecks:
 
     def test_rule_examples_direct(self):
         # letters rule: w' uses z, absent from w
-        assert pairing(XYZ.word("xy"), XYZ.word("xz"), 3, 3).value == 0
+        assert pairing(XYZ.word("xy"), XYZ.word("xz"), 3, 3) == 0
         # length-gap rule: |w|=2 < |w'|=3 < 4
         for w_prime in all_words(XYZ, 3):
-            assert pairing(XYZ.word("xy"), w_prime, 3, 3).value == 0
+            assert pairing(XYZ.word("xy"), w_prime, 3, 3) == 0
 
     def test_degree_four_two_letters(self):
         rep = vanishing_checks(4, 2, XY)

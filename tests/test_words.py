@@ -11,7 +11,6 @@ from lynmag.words import (
     Word,
     all_words,
     alp_compare,
-    alp_key,
     divisors,
     is_lyndon,
     lyndon_words,

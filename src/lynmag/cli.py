@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConsistencyError
-from .freegrp import format_group_word, parse_group_word
+from .freegrp import MAX_DEGREE, format_group_word, parse_group_word
 from .matgrp import UnipotentMatrix, rho
 from .pairing import pairing_matrix
 from .series import balanced, is_prime, koch_test, magnus, prime_power
@@ -190,8 +190,8 @@ def cmd_pairing_matrix(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
     g = parse_group_word(config.alphabet, args.word)
     degree = config.deg if config.deg is not None else 4
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"--deg must be in 0..{MAX_DEGREE}, got {degree}")
     series = magnus(g, config.mod, degree)
     payload: dict = {
         "word": format_group_word(g),

@@ -1,9 +1,16 @@
 """Unipotent upper-triangular matrix groups over Z/p^k.
 
-Matrices are stored as flat tuples of the strictly-upper entries (the
-diagonal is implicitly 1), which keeps them hashable and cheap: the
-brute-force subgroup engine below churns through hundreds of thousands
-of products when verifying the p-central filtration of these groups.
+A matrix is stored by its strictly-upper entries only (the diagonal is
+implicitly 1), in the row-major ``_upper_pairs`` layout.  One matrix at
+a time it is a ``UnipotentMatrix`` holding a flat tuple, which keeps it
+hashable; ``rho``, ``iota`` and the verification checks use these.
+
+The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
+instead works on whole blocks of matrices: each matrix is one row of an
+(N, E) array, E = size*(size-1)/2, and a private kernel forms row-wise
+products, inverses and powers.  Entries are int64 when every reduced
+product of two residues fits, and exact Python ints otherwise.  At most
+``BLOCK`` products are formed per kernel call, which bounds memory.
 
 ``rho`` builds the unipotent representation attached to a word: the
 (i, j) entry of the image of g is the Magnus coefficient of the subword
@@ -16,9 +23,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .freegrp import GroupWord
 from .series import is_prime, magnus, prime_power
 from .words import Word
+
+# Products per kernel call in the group engine; bounds its working memory.
+BLOCK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -250,42 +262,112 @@ class FiniteGroupTable:
         return f"FiniteGroupTable({len(self.elements)} elements)"
 
 
+def _dtype(modulus: int):
+    # int64 holds each reduced product term when (m-1)^2 fits; else exact ints
+    return np.int64 if (modulus - 1) ** 2 <= np.iinfo(np.int64).max else object
+
+
+def _rows(matrices: Sequence[UnipotentMatrix], size: int, modulus: int) -> np.ndarray:
+    """Stack matrices of one size and modulus as the rows of an (N, E) array."""
+    if any(g.size != size or g.modulus != modulus for g in matrices):
+        raise ValueError("matrices must share size and modulus")
+    return np.array([g.data for g in matrices], dtype=_dtype(modulus)).reshape(
+        len(matrices), size * (size - 1) // 2
+    )
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, size: int, modulus: int) -> np.ndarray:
+    """Row-wise products of two equal-shape stacks of matrices."""
+    out = np.empty_like(a)
+    for t, mids in enumerate(_mul_program(size)):
+        acc = a[..., t] + b[..., t]
+        for u, v in mids:
+            acc = acc + a[..., u] * b[..., v] % modulus
+        out[..., t] = acc % modulus
+    return out
+
+
+def _inverse_rows(a: np.ndarray, size: int, modulus: int) -> np.ndarray:
+    """Row-wise inverses by back-substitution, in order of the span j - i.
+
+    X = A^-1 has x_ij = -(a_ij + sum_{i<k<j} a_ik x_kj), and every x_kj
+    on the right has a shorter span than (i, j).
+    """
+    pairs = _upper_pairs(size)
+    prog = _mul_program(size)
+    x = np.empty_like(a)
+    for t in sorted(range(len(pairs)), key=lambda t: pairs[t][1] - pairs[t][0]):
+        acc = a[..., t]
+        for u, v in prog[t]:
+            acc = acc + a[..., u] * x[..., v] % modulus
+        x[..., t] = -acc % modulus
+    return x
+
+
+def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
+    """Row-wise k-th powers, k >= 0, by binary powering."""
+    result = np.zeros_like(a)
+    while k:
+        if k & 1:
+            result = _mul_rows(result, a, size, modulus)
+        k >>= 1
+        if k:
+            a = _mul_rows(a, a, size, modulus)
+    return result
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, in lexicographic order."""
+    if not rows.shape[1]:
+        return rows[:1]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _pair_blocks(n_a: int, n_b: int):
+    """Index arrays (i, j) that cover all n_a * n_b pairs, BLOCK at a time."""
+    total = n_a * n_b
+    for start in range(0, total, BLOCK):
+        yield np.divmod(np.arange(start, min(start + BLOCK, total)), n_b)
+
+
 def generate_group(
     generators: Iterable[UnipotentMatrix],
     cap: int = 10**6,
     size: Optional[int] = None,
     modulus: Optional[int] = None,
 ) -> FiniteGroupTable:
-    """Close a generator list under the product (worklist BFS).
+    """Close a generator list under the product (frontier BFS).
 
     The generated submonoid of a finite group is the generated subgroup,
-    so right multiplication from the identity is enough.  ``size`` and
-    ``modulus`` are only needed when the generator list is empty.
+    so right multiplication from the identity is enough.  Each step
+    multiplies the whole frontier by every generator.  Raises ValueError
+    when the group order would exceed ``cap``.  ``size`` and ``modulus``
+    are only needed when the generator list is empty.
     """
     generators = list(generators)
     if generators:
         size = generators[0].size
         modulus = generators[0].modulus
-        if any(g.size != size or g.modulus != modulus for g in generators):
-            raise ValueError("generators must share size and modulus")
     elif size is None or modulus is None:
         raise ValueError("size and modulus required when no generators given")
-    identity = UnipotentMatrix.identity(size, modulus)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in generators:
-                b = a * g
-                if b not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"group order exceeds cap {cap}")
-                    seen.add(b)
-                    new.append(b)
-        frontier = new
-    ordered = sorted(seen, key=lambda m: m.data)
-    return FiniteGroupTable(ordered)
+    gens = _rows(generators, size, modulus)
+    width = gens.shape[1]
+    seen = {(0,) * width}
+    frontier = np.zeros((1, width), dtype=gens.dtype)
+    while len(frontier):
+        new: list[tuple] = []
+        for i, j in _pair_blocks(len(frontier), len(gens)):
+            products = _unique_rows(_mul_rows(frontier[i], gens[j], size, modulus))
+            fresh = [r for r in map(tuple, products.tolist()) if r not in seen]
+            if len(seen) + len(fresh) > cap:
+                raise ValueError(f"group order exceeds cap {cap}")
+            seen.update(fresh)
+            new += fresh
+        frontier = np.array(new, dtype=gens.dtype).reshape(len(new), width)
+    return FiniteGroupTable(UnipotentMatrix(size, modulus, d) for d in sorted(seen))
 
 
 def lower_p_central(table: FiniteGroupTable, p: int, n: int) -> FiniteGroupTable:
@@ -304,18 +386,31 @@ def lower_p_central(table: FiniteGroupTable, p: int, n: int) -> FiniteGroupTable
         raise ValueError("empty table")
     size = table.elements[0].size
     modulus = table.elements[0].modulus
-    inv_all = {g: g.inverse() for g in table.elements}
+    group = _rows(table.elements, size, modulus)
+    group_inv = _inverse_rows(group, size, modulus)
     current = table
     for _ in range(n - 1):
-        gens: set[UnipotentMatrix] = set()
-        for h in current.elements:
-            gens.add(h**p)
-        for h in current.elements:
-            h_inv = inv_all[h] if h in inv_all else h.inverse()
-            for g in table.elements:
-                gens.add(inv_all[g] * h_inv * g * h)
-        gens = {g for g in gens if not g.is_identity()}
+        term = _rows(current.elements, size, modulus)
+        gens = _unique_rows(
+            np.concatenate(
+                [
+                    _pow_rows(term[start : start + BLOCK], p, size, modulus)
+                    for start in range(0, len(term), BLOCK)
+                ]
+            )
+        )
+        term_inv = _inverse_rows(term, size, modulus)
+        for i, j in _pair_blocks(len(term), len(group)):
+            # [g, h] = (g^-1 h^-1)(g h) for g = group[j], h = term[i]
+            left = _mul_rows(group_inv[j], term_inv[i], size, modulus)
+            right = _mul_rows(group[j], term[i], size, modulus)
+            gens = _unique_rows(
+                np.concatenate([gens, _mul_rows(left, right, size, modulus)])
+            )
+        gens = gens[(gens != 0).any(axis=1)]
         current = generate_group(
-            sorted(gens, key=lambda m: m.data), size=size, modulus=modulus
+            [UnipotentMatrix(size, modulus, r) for r in gens.tolist()],
+            size=size,
+            modulus=modulus,
         )
     return current

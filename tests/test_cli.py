@@ -1,14 +1,19 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lynmag.cli as cli
 import lynmag.verify as verify
 from lynmag.cli import main
 from lynmag.errors import ConsistencyError
+from lynmag.freegrp import MAX_DEGREE
 
 
 def run(argv, capsys):
@@ -152,6 +157,41 @@ class TestMagnus:
         code, _, err = run(["magnus", "x^"], capsys)
         assert code == 2
         assert "error" in err
+
+    def test_degree_bound(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(["magnus", "x^-1", "--deg", str(MAX_DEGREE), "--mod", "9"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out
+        for deg in (MAX_DEGREE + 1, -1):
+            code, out, err = run(["magnus", "x^-1", "--deg", str(deg), "--mod", "9"], capsys)
+            assert code == 2 and out == ""
+            assert "--deg" in err
+
+    @settings(max_examples=300, deadline=timedelta(seconds=2))
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["x", "y", "z", "^", "[", "]", ",", " ", "1"]),
+                st.sampled_from(["x", "y", "]"]).flatmap(
+                    lambda head: st.integers(-(10**30), 10**30).map(
+                        lambda e: f"{head}^{e} "
+                    )
+                ),
+                st.integers(-99, 99).map(lambda e: f"{e:+d}"),
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    def test_random_words_exit_zero_or_two(self, word):
+        # argparse reports a usage error (a word read as an option) as
+        # SystemExit(2); anything else must come back as a return code.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(["magnus", word, "--deg", "3", "--mod", "9"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2)
 
 
 class TestShuffle:

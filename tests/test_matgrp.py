@@ -2,8 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lynmag.matgrp as matgrp
 from lynmag.freegrp import parse_group_word
 from lynmag.matgrp import (
     FiniteGroupTable,
@@ -184,8 +187,15 @@ class TestGenerateGroup:
             generate_group([])
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            generate_group([E(2, 25, 1, 2)], cap=10)
+        # the cap is the largest order allowed
+        assert len(generate_group([E(2, 25, 1, 2)], cap=25)) == 25
+        for cap in (10, 24):
+            with pytest.raises(ValueError):
+                generate_group([E(2, 25, 1, 2)], cap=cap)
+
+    def test_huge_modulus_uses_exact_ints(self):
+        table = generate_group([E(2, 2**61, 1, 2, 2**60)])
+        assert [m.data for m in table] == [(0,), (2**60,)]
 
     def test_closure_is_a_group(self):
         table = generate_group([E(3, 4, 1, 2), E(3, 4, 2, 3)])
@@ -232,6 +242,109 @@ class TestLowerPCentral:
             lower_p_central(table, 4, 2)
         with pytest.raises(ValueError):
             lower_p_central(table, 2, 0)
+
+
+MODULI = (2, 9, 49, 13**4, 2**61)
+
+
+@st.composite
+def matrix_pairs(draw):
+    size = draw(st.integers(2, 5))
+    modulus = draw(st.sampled_from(MODULI))
+    count = draw(st.integers(1, 6))
+    k = size * (size - 1) // 2
+    entries = st.lists(st.integers(0, modulus - 1), min_size=k, max_size=k)
+
+    def draw_matrices():
+        return [UnipotentMatrix(size, modulus, draw(entries)) for _ in range(count)]
+
+    return size, modulus, draw_matrices(), draw_matrices()
+
+
+class TestBatchedKernel:
+    """The group engine's array kernel against the scalar operators."""
+
+    @settings(max_examples=200)
+    @given(matrix_pairs(), st.integers(0, 13))
+    def test_rows_match_scalar_operators(self, pair, k):
+        size, modulus, xs, ys = pair
+        a = matgrp._rows(xs, size, modulus)
+        b = matgrp._rows(ys, size, modulus)
+        data = lambda ms: [list(m.data) for m in ms]  # noqa: E731
+        assert matgrp._mul_rows(a, b, size, modulus).tolist() == data(
+            x * y for x, y in zip(xs, ys)
+        )
+        assert matgrp._inverse_rows(a, size, modulus).tolist() == data(
+            x.inverse() for x in xs
+        )
+        assert matgrp._pow_rows(a, k, size, modulus).tolist() == data(x**k for x in xs)
+
+    def test_dtype_follows_modulus(self):
+        assert matgrp._rows([E(3, 13**4, 1, 2)], 3, 13**4).dtype == np.int64
+        # (2^61 - 1)^2 overflows int64, so entries stay exact Python ints
+        big = 2**61
+        rng = random.Random(3)
+        xs = [UnipotentMatrix(4, big, [rng.randrange(big) for _ in range(6)]) for _ in range(3)]
+        a = matgrp._rows(xs, 4, big)
+        assert a.dtype == object
+        assert matgrp._mul_rows(a, a[::-1], 4, big).tolist() == [
+            list((x * y).data) for x, y in zip(xs, xs[::-1])
+        ]
+        assert matgrp._inverse_rows(a, 4, big).tolist() == [list(x.inverse().data) for x in xs]
+        assert matgrp._pow_rows(a, 7, 4, big).tolist() == [list((x**7).data) for x in xs]
+
+    def test_unique_rows_sorts_lexicographically(self):
+        rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1]])
+        assert matgrp._unique_rows(rows).tolist() == [[0, 1], [0, 2], [1, 0]]
+        assert matgrp._unique_rows(np.zeros((3, 0), dtype=np.int64)).shape == (1, 0)
+
+
+def reference_closure(gens, identity):
+    """Scalar frontier BFS: one UnipotentMatrix product at a time."""
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        new = {a * g for a in frontier for g in gens} - seen
+        seen |= new
+        frontier = list(new)
+    return sorted(seen, key=lambda m: m.data)
+
+
+def reference_lower_p_central(table, p, n):
+    """Scalar all-pairs oracle for lower_p_central."""
+    identity = UnipotentMatrix.identity(table.elements[0].size, table.elements[0].modulus)
+    term = list(table)
+    for _ in range(n - 1):
+        gens = {h**p for h in term}
+        gens |= {g.inverse() * h.inverse() * g * h for h in term for g in table}
+        term = reference_closure(gens, identity)
+    return term
+
+
+def random_lift_generators(rng, s, p, n):
+    # lifts of the standard generators plus one fully random element
+    size, modulus = s + 1, p ** (n - s + 1)
+    gens = []
+    for i in range(1, size):
+        unit = rng.choice([u for u in range(1, modulus) if u % p])
+        entries = {(i, j): rng.randrange(modulus) for j in range(i + 2, size + 1)}
+        entries[(i, i + 1)] = unit
+        gens.append(UnipotentMatrix.from_entries(size, modulus, entries))
+    k = size * (size - 1) // 2
+    gens.append(UnipotentMatrix(size, modulus, [rng.randrange(modulus) for _ in range(k)]))
+    return gens
+
+
+class TestAgainstScalarOracle:
+    @pytest.mark.parametrize("block", [matgrp.BLOCK, 5])
+    @pytest.mark.parametrize("seed,s,p,n", [(1, 2, 2, 3), (2, 3, 2, 3), (3, 2, 3, 2)])
+    def test_every_term_matches(self, monkeypatch, block, seed, s, p, n):
+        monkeypatch.setattr(matgrp, "BLOCK", block)
+        gens = random_lift_generators(random.Random(seed), s, p, n)
+        table = generate_group(gens)
+        identity = UnipotentMatrix.identity(s + 1, gens[0].modulus)
+        assert list(table) == reference_closure(gens, identity)
+        for k in range(1, n + 2):
+            assert list(lower_p_central(table, p, k)) == reference_lower_p_central(table, p, k)
 
 
 class TestMatrixJson:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConsistencyError
-from .freegrp import MAX_DEGREE, format_group_word, parse_group_word
+from .freegrp import format_group_word, parse_group_word
 from .matgrp import UnipotentMatrix, rho
 from .pairing import pairing_matrix
 from .series import balanced, is_prime, koch_test, magnus, prime_power
@@ -185,6 +185,11 @@ def cmd_pairing_matrix(config: RunConfig, args: argparse.Namespace) -> int:
             )
         emit("\n".join(lines), config)
     return 0
+
+
+# Largest truncation degree of a Magnus image the CLI computes: inverting
+# a letter costs about degree^3 coefficient operations.
+MAX_DEGREE = 256
 
 
 def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:

@@ -24,9 +24,6 @@ Syllable = tuple[int, int]
 # Bounds on the text parse_group_word accepts, so parsing is bounded.
 MAX_SYLLABLES = 65_536
 MAX_NESTING = 100
-# Largest truncation degree of a Magnus image the CLI computes: inverting
-# a letter costs about degree^3 coefficient operations.
-MAX_DEGREE = 256
 
 
 def _reduce(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:

@@ -346,6 +346,11 @@ def generate_group(
     multiplies the whole frontier by every generator.  Raises ValueError
     when the group order would exceed ``cap``.  ``size`` and ``modulus``
     are only needed when the generator list is empty.
+
+    Each step has a fixed numpy cost of some tens of microseconds, so
+    this is fast for wide, shallow closures (every group the checks
+    build) and slower than scalar products for long cyclic chains: one
+    generator of order 2^16 takes 65,536 steps of one row each.
     """
     generators = list(generators)
     if generators:

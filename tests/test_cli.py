@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import lynmag.cli as cli
 import lynmag.verify as verify
-from lynmag.cli import main
+from lynmag.cli import MAX_DEGREE, main
 from lynmag.errors import ConsistencyError
-from lynmag.freegrp import MAX_DEGREE
 
 
 def run(argv, capsys):

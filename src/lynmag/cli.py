@@ -190,6 +190,9 @@ def cmd_pairing_matrix(config: RunConfig, args: argparse.Namespace) -> int:
 # Largest truncation degree of a Magnus image the CLI computes: inverting
 # a letter costs about degree^3 coefficient operations.
 MAX_DEGREE = 256
+# Most terms one syllable product of a CLI Magnus image may form; with
+# several inverse syllables the support grows like degree^k.
+MAX_TERMS = 65_536
 
 
 def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
@@ -197,7 +200,11 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
     degree = config.deg if config.deg is not None else 4
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"--deg must be in 0..{MAX_DEGREE}, got {degree}")
-    series = magnus(g, config.mod, degree)
+    try:
+        series = magnus(g, config.mod, degree, limit=MAX_TERMS)
+    except ValueError as exc:
+        shown = repr(args.word if len(args.word) <= 60 else args.word[:57] + "...")
+        raise ValueError(f"Magnus image of {shown} at --deg {degree}: {exc}") from exc
     payload: dict = {
         "word": format_group_word(g),
         "modulus": config.mod,

@@ -8,18 +8,22 @@ elements always compare equal.
 The map ``tau`` sends a Lyndon word to an iterated commutator through the
 standard factorization; together with p-th power maps these produce the
 canonical generating family of each layer of the lower p-central series
-(see ``gr_generators``).
+(see ``gr_generators``).  ``tau_images`` evaluates the same recursion in
+any target group given the images of the letters, so a caller that only
+needs the image of tau(w), such as a Magnus series or a unipotent
+matrix, never builds the group word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .words import Alphabet, Word, is_lyndon, lyndon_words, standard_factorization
 
 Syllable = tuple[int, int]
+T = TypeVar("T")
 
 # Bounds on the text parse_group_word accepts, so parsing is bounded.
 MAX_SYLLABLES = 65_536
@@ -106,18 +110,57 @@ def commutator(g: GroupWord, h: GroupWord) -> GroupWord:
     return g.inverse() * h.inverse() * g * h
 
 
-def tau(w: Word) -> GroupWord:
-    """The iterated commutator attached to a Lyndon word.
+def tau_images(
+    words: Iterable[Word],
+    letter: Callable[[int], T],
+    mul: Callable[[T, T], T],
+    inv: Callable[[T], T],
+) -> Iterator[T]:
+    """The image of tau(w) for each Lyndon word w, in any target group.
 
-    A single letter maps to itself; a longer word splits through its
-    standard factorization w = w'w'' and maps to [tau(w'), tau(w'')].
+    ``letter`` maps a letter index to its image.  A single letter maps
+    to that image; a longer word splits through its standard
+    factorization w = w'w'' and maps to [tau(w'), tau(w'')].  The
+    factors are Lyndon words themselves, and each one's (image,
+    inverse) pair is computed once per call: inv([a, b]) = [b, a], so
+    only letters are ever inverted.  Images are yielded in the order of
+    ``words``.
     """
-    if not is_lyndon(w):
-        raise ValueError(f"{w!r} is not a Lyndon word")
-    if len(w) == 1:
-        return GroupWord(w.alphabet, ((w.indices[0], 1),))
-    left, right = standard_factorization(w)
-    return commutator(tau(left), tau(right))
+    pairs: dict[Word, tuple[T, T]] = {}
+
+    def bracket(a: T, a_inv: T, b: T, b_inv: T) -> T:
+        return mul(mul(a_inv, b_inv), mul(a, b))
+
+    def pair(u: Word) -> tuple[T, T]:
+        if u not in pairs:
+            if len(u) == 1:
+                a = letter(u.indices[0])
+                pairs[u] = (a, inv(a))
+            else:
+                (a, a_inv), (b, b_inv) = map(pair, standard_factorization(u))
+                pairs[u] = (bracket(a, a_inv, b, b_inv), bracket(b, b_inv, a, a_inv))
+        return pairs[u]
+
+    for w in words:
+        if not is_lyndon(w):
+            raise ValueError(f"{w!r} is not a Lyndon word")
+        if w in pairs:
+            yield pairs[w][0]
+        elif len(w) == 1:
+            yield letter(w.indices[0])
+        else:
+            (a, a_inv), (b, b_inv) = map(pair, standard_factorization(w))
+            yield bracket(a, a_inv, b, b_inv)
+
+
+def tau(w: Word) -> GroupWord:
+    """The iterated commutator attached to a Lyndon word, as a group word."""
+
+    def letter(i: int) -> GroupWord:
+        return GroupWord(w.alphabet, ((i, 1),))
+
+    (image,) = tau_images([w], letter, GroupWord.__mul__, GroupWord.inverse)
+    return image
 
 
 def gr_generators(

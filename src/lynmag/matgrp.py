@@ -11,6 +11,10 @@ instead works on whole blocks of matrices: each matrix is one row of an
 products, inverses and powers.  Entries are int64 when every reduced
 product of two residues fits, and exact Python ints otherwise.  At most
 ``BLOCK`` products are formed per kernel call, which bounds memory.
+The matrix route of the duality pairing runs on the same kernels:
+``tau_power_rows`` evaluates tau(w) on the batch of letter images
+``letter_rows`` of many words at once, and ``iota_rows`` reads the
+central coordinate of a whole batch.
 
 ``rho`` builds the unipotent representation attached to a word: the
 (i, j) entry of the image of g is the Magnus coefficient of the subword
@@ -21,11 +25,11 @@ coordinate used by the duality pairing.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .freegrp import GroupWord
+from .freegrp import GroupWord, tau_images
 from .series import is_prime, magnus, prime_power
 from .words import Word
 
@@ -314,6 +318,69 @@ def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
         if k:
             a = _mul_rows(a, a, size, modulus)
     return result
+
+
+def iota_rows(n: int, s: int, rows: np.ndarray, modulus: int) -> np.ndarray:
+    """``iota`` of every matrix in a (..., E) batch of size s+1 over Z/modulus.
+
+    Entries whose matrix ``iota`` would reject come out as -1; call
+    ``iota`` on such a matrix for the reason.
+    """
+    p, k = prime_power(modulus)
+    if not (1 <= s <= n and k == n - s + 1 and rows.shape[-1] == s * (s + 1) // 2):
+        raise ValueError(f"a batch of size {s + 1} mod {modulus} does not match n={n}")
+    corner = s - 1  # (1, s+1) ends the first row of the layout
+    shift = p ** (n - s)
+    c = rows[..., corner]
+    central = ~np.delete(rows, corner, axis=-1).any(axis=-1)
+    return np.where(central & (c % shift == 0), c // shift, -1)
+
+
+def letter_rows(words: Sequence[Word], letter: int, modulus: int) -> np.ndarray:
+    """rho(w, x) of one letter x for every word w of one length, as a batch.
+
+    Row k is I + sum over the positions i with w_i = x of E_{i,i+1}, in
+    the (K, E) layout of the row kernels.
+    """
+    s = len(words[0])
+    index = np.array([w.indices for w in words]).reshape(len(words), s)
+    pairs = _upper_pairs(s + 1)
+    out = np.zeros((len(words), len(pairs)), dtype=_dtype(modulus))
+    for i in range(s):
+        out[:, pairs.index((i + 1, i + 2))] = index[:, i] == letter
+    return out
+
+
+def tau_power_rows(
+    ws: Sequence[Word], exponents: Sequence[int], words: Sequence[Word], modulus: int
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """rho(w', tau(w)**k) for each Lyndon w in ws and each w' in words.
+
+    ``words`` share one length s and ``exponents`` gives each w its k.
+    tau(w) is evaluated on the letter images of ``letter_rows``, never
+    expanded into a group word, and one ``_pow_rows`` call powers a
+    whole stack of w with equal k.  Yields (positions in ws, batch of
+    shape (G, len(words), E)), at most about ``BLOCK`` matrices at a time.
+    """
+    size = len(words[0]) + 1
+    order = sorted(range(len(ws)), key=lambda i: exponents[i])
+    images = tau_images(
+        [ws[i] for i in order],
+        lambda x: letter_rows(words, x, modulus),
+        lambda a, b: _mul_rows(a, b, size, modulus),
+        lambda a: _inverse_rows(a, size, modulus),
+    )
+    chunk = max(1, BLOCK // len(words))
+    positions: list[int] = []
+    stack: list[np.ndarray] = []
+    for i, image in zip(order, images):
+        if stack and (len(stack) == chunk or exponents[i] != exponents[positions[0]]):
+            yield positions, _pow_rows(np.stack(stack), exponents[positions[0]], size, modulus)
+            positions, stack = [], []
+        positions.append(i)
+        stack.append(image)
+    if stack:
+        yield positions, _pow_rows(np.stack(stack), exponents[positions[0]], size, modulus)
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:

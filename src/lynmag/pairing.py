@@ -1,78 +1,136 @@
 """The duality pairing between filtration generators and word functionals.
 
-``pairing(w, w', n, p)`` pairs the generator tau(w)^(p^(n-|w|)) of the
-n-th lower p-central layer against the coefficient functional of the
-word w'.  It is computed along two independent routes that must agree:
+``pairing_rows(ws, words, n, p)`` pairs each generator tau(w)^(p^(n-|w|))
+of the n-th lower p-central layer, w Lyndon, against the coefficient
+functional of each word w'.  Both routes evaluate the same tau
+recursion (``freegrp.tau_images``) homomorphically in a different
+target group; neither expands a generator into a group word and
+neither reads ``magnus`` or ``rho``:
 
-- series route: the Magnus coefficient of w' mod p^(n-s'+1), divided by
-  p^(n-s') and read mod p;
-- matrix route: the corner entry of the unipotent representation
-  attached to w', extracted by ``iota``.
+- series route: tau(w) on the letter series 1 + x over Z/p^n, raised to
+  p^(n-|w|) once per row; each coefficient of w' is read mod p^(n-s'+1),
+  divided by p^(n-s') and taken mod p;
+- matrix route: tau(w) on the letter matrices I + sum E_{i,i+1} of every
+  w' of one length s', a whole batch at a time on the row kernels of
+  ``matgrp``; the power must land in the central subgroup read by
+  ``iota``.
 
-A divisibility failure or a disagreement between the routes is a
-:class:`ConsistencyError`, never a silent zero.  Collecting all entries
-over Lyndon words in preceq order gives a matrix that must come out
-unipotent upper-triangular; its inverse mod p is the change of basis
-that makes the generator family and the functional family exactly dual.
+A divisibility failure, a non-central matrix or a disagreement between
+the routes is a :class:`ConsistencyError` naming the pair, never a
+silent zero.  ``pairing_matrix`` is the rows over Lyndon words in
+preceq order; it must come out unipotent upper-triangular, and its
+inverse mod p is the change of basis that makes the generator family
+and the functional family exactly dual.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .freegrp import tau
+from .freegrp import tau_images
 from .linalg import inverse_mod_p
-from .matgrp import iota, rho
-from .series import balanced, is_prime, magnus
+from .matgrp import UnipotentMatrix, iota, iota_rows, tau_power_rows
+from .series import TruncatedSeries, balanced, is_prime, series_invert, series_pow
 from .words import Alphabet, Word, is_lyndon, lyndon_words, necklace
 
 
-def pairing(w: Word, w_prime: Word, n: int, p: int) -> int:
-    """The pairing of the Lyndon word w against the word w', in 0..p-1.
+def _series_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:
+    """The pairing values read off the Magnus series of each generator."""
+    alphabet = ws[0].alphabet
+    lengths = np.array([len(v) for v in words], dtype=object)
+    modulus, degree = p ** (n - min(lengths) + 1), max(lengths)
+    moduli, shifts = p ** (n - lengths + 1), p ** (n - lengths)
+    keys = [v.indices for v in words]
+    out = np.zeros((len(ws), len(words)), dtype=np.int64)
+    # Longest first, so shorter words are met as factors before they are asked for.
+    order = sorted(range(len(ws)), key=lambda i: -len(ws[i]))
+    images = tau_images(
+        [ws[i] for i in order],
+        lambda x: TruncatedSeries(alphabet, modulus, degree, {(): 1, (x,): 1}),
+        operator.mul,
+        series_invert,
+    )
+    for i, image in zip(order, images):
+        w = ws[i]
+        f = series_pow(image, p ** (n - len(w)))
+        c = np.array([f.coeffs.get(key, 0) for key in keys], dtype=object) % moduli
+        bad = np.flatnonzero(c % shifts)
+        if len(bad):
+            j = bad[0]
+            raise ConsistencyError(
+                f"coefficient {c[j]} of {words[j]} in the image of "
+                f"tau({w})**(p**{n - len(w)}) is not divisible by {shifts[j]} "
+                f"mod {moduli[j]}"
+            )
+        out[i] = (c // shifts).astype(np.int64)
+    return out
 
-    Requires 1 <= |w| <= n and 1 <= |w'| <= n, with w Lyndon.  Both
-    computation routes run on every call and must agree.
+
+def _matrix_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:
+    """The pairing values read by ``iota`` off batches of unipotent matrices."""
+    exponents = [p ** (n - len(w)) for w in ws]
+    out = np.zeros((len(ws), len(words)), dtype=np.int64)
+    by_length = sorted(range(len(words)), key=lambda j: len(words[j]))
+    for s, group in itertools.groupby(by_length, key=lambda j: len(words[j])):
+        cols = list(group)
+        batch_words = [words[j] for j in cols]
+        modulus = p ** (n - s + 1)
+        for positions, batch in tau_power_rows(ws, exponents, batch_words, modulus):
+            values = iota_rows(n, s, batch, modulus)
+            bad = np.argwhere(values < 0)
+            if len(bad):
+                g, k = bad[0]
+                w, w_prime = ws[positions[g]], batch_words[k]
+                try:
+                    iota(n, s, UnipotentMatrix(s + 1, modulus, batch[g, k].tolist()))
+                except ValueError as exc:
+                    raise ConsistencyError(
+                        f"matrix route failed for <{w}, {w_prime}>_{n}: {exc}"
+                    ) from exc
+            out[np.ix_(positions, cols)] = values
+    return out
+
+
+def pairing_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:
+    """<w, w'>_n for each Lyndon w in ws and each word w' in words.
+
+    Returns a (len(ws), len(words)) array of values in 0..p-1.  Requires
+    1 <= |w| <= n and 1 <= |w'| <= n.  Both routes run on every entry
+    and must agree.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if w.alphabet != w_prime.alphabet:
+    ws, words = list(ws), list(words)
+    if not ws or not words:
+        return np.zeros((len(ws), len(words)), dtype=np.int64)
+    if any(v.alphabet != ws[0].alphabet for v in ws + words):
         raise ValueError("words over different alphabets")
-    if not is_lyndon(w):
-        raise ValueError(f"{w!r} is not a Lyndon word")
-    s, s_prime = len(w), len(w_prime)
-    if not (1 <= s <= n and 1 <= s_prime <= n):
+    for w in ws:
+        if not is_lyndon(w):
+            raise ValueError(f"{w!r} is not a Lyndon word")
+    if not all(1 <= len(v) <= n for v in ws + words):
         raise ValueError("word lengths must lie in 1..n")
-
-    g = tau(w) ** (p ** (n - s))
-    modulus = p ** (n - s_prime + 1)
-    shift = p ** (n - s_prime)
-
-    # series route
-    f = magnus(g, modulus, s_prime)
-    c = f.coeffs.get(w_prime.indices, 0)
-    if c % shift:
+    from_series = _series_rows(ws, words, n, p)
+    from_matrix = _matrix_rows(ws, words, n, p)
+    disagree = np.argwhere(from_series != from_matrix)
+    if len(disagree):
+        i, j = disagree[0]
         raise ConsistencyError(
-            f"coefficient {c} of {w_prime} in the image of tau({w})**(p**{n - s}) "
-            f"is not divisible by {shift} mod {modulus}"
-        )
-    from_series = (c // shift) % p
-
-    # matrix route
-    try:
-        from_matrix = iota(n, s_prime, rho(w_prime, g, modulus))
-    except ValueError as exc:
-        raise ConsistencyError(
-            f"matrix route failed for <{w}, {w_prime}>_{n}: {exc}"
-        ) from exc
-    if from_series != from_matrix:
-        raise ConsistencyError(
-            f"pairing routes disagree for <{w}, {w_prime}>_{n}: "
-            f"series {from_series}, matrix {from_matrix}"
+            f"pairing routes disagree for <{ws[i]}, {words[j]}>_{n}: "
+            f"series {from_series[i, j]}, matrix {from_matrix[i, j]}"
         )
     return from_series
+
+
+def pairing(w: Word, w_prime: Word, n: int, p: int) -> int:
+    """The pairing of the Lyndon word w against the word w', in 0..p-1."""
+    return int(pairing_rows([w], [w_prime], n, p)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -133,10 +191,7 @@ def pairing_matrix(n: int, p: int, alphabet: Alphabet) -> PairingMatrix:
         raise ValueError("n must be positive")
     index = tuple(lyndon_words(alphabet, n))
     d = len(index)
-    rows = np.zeros((d, d), dtype=np.int64)
-    for i, w in enumerate(index):
-        for j, w_prime in enumerate(index):
-            rows[i, j] = pairing(w, w_prime, n, p)
+    rows = pairing_rows(index, index, n, p)
     for i in range(d):
         if rows[i, i] != 1:
             raise ConsistencyError(
@@ -176,8 +231,6 @@ def vanishing_checks(n: int, p: int, alphabet: Alphabet) -> dict:
     pair in Lyn_{<=n}(X) x {words of length 1..n} is computed; the report
     lists any counterexample (there should be none).
     """
-    import itertools
-
     checked = 0
     by_rule = {"letters": 0, "length-gap": 0}
     counterexamples = []
@@ -187,9 +240,10 @@ def vanishing_checks(n: int, p: int, alphabet: Alphabet) -> dict:
         for length in range(1, n + 1)
         for t in itertools.product(range(len(alphabet)), repeat=length)
     ]
-    for w in lyndon:
+    values = pairing_rows(lyndon, words, n, p)
+    for w, row in zip(lyndon, values):
         w_letters = w.letter_set()
-        for w_prime in words:
+        for w_prime, value in zip(words, row):
             rules = []
             if not w_prime.letter_set() <= w_letters:
                 rules.append("letters")
@@ -200,10 +254,9 @@ def vanishing_checks(n: int, p: int, alphabet: Alphabet) -> dict:
             checked += 1
             for rule in rules:
                 by_rule[rule] += 1
-            value = pairing(w, w_prime, n, p)
             if value != 0:
                 counterexamples.append(
-                    {"w": str(w), "w_prime": str(w_prime), "value": value}
+                    {"w": str(w), "w_prime": str(w_prime), "value": int(value)}
                 )
     return {
         "n": n,

@@ -17,7 +17,9 @@ and lower p-central series (``lower_central_test``, ``koch_test``).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping, Optional
 
 from .freegrp import GroupWord, commutator
@@ -240,8 +242,9 @@ def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
     while k:
         if k & 1:
             result = result * base
-        base = base * base
         k >>= 1
+        if k:
+            base = base * base
     return result
 
 
@@ -271,23 +274,46 @@ def series_invert(f: TruncatedSeries) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=4096)
-def magnus(g: GroupWord, modulus: Optional[int], degree: int) -> TruncatedSeries:
+def magnus(
+    g: GroupWord, modulus: Optional[int], degree: int, *, limit: Optional[int] = None
+) -> TruncatedSeries:
     """Image of a free-group word under x -> 1 + x, truncated.
 
-    Each syllable x^e is evaluated by binary exponentiation of (1 + x),
-    inverting first for negative e, so exponent size costs log(e)
-    series multiplications.  Results are immutable and cached: bulk
+    Each syllable x^e is evaluated by binary exponentiation of (1 + x)
+    or, for negative e, of its inverse; each letter is inverted at most
+    once per call and each distinct syllable powered once, so exponent
+    size costs log(e) series multiplications.  With ``limit`` set, a
+    syllable product that would form more than ``limit`` terms before
+    merging raises ValueError before it is formed, which bounds the
+    size of every partial product.  Results are immutable and cached: bulk
     verification sweeps evaluate many coefficients of the same image.
     """
+    bases: dict[tuple[int, bool], TruncatedSeries] = {}
+    powers: dict[tuple[int, int], TruncatedSeries] = {}
     acc = TruncatedSeries.one(g.alphabet, modulus, degree)
     for letter, e in g.syllables:
-        base = TruncatedSeries(
-            g.alphabet, modulus, degree, {(): 1, (letter,): 1}
-        )
-        if e < 0:
-            base = series_invert(base)
-        acc = acc * series_pow(base, abs(e))
+        if (letter, e) not in powers:
+            key = (letter, e < 0)
+            if key not in bases:
+                base = TruncatedSeries(g.alphabet, modulus, degree, {(): 1, (letter,): 1})
+                bases[key] = series_invert(base) if e < 0 else base
+            powers[letter, e] = series_pow(bases[key], abs(e))
+        if limit is not None and _pairs_below(acc, powers[letter, e], degree) > limit:
+            raise ValueError(
+                f"a syllable product would form more than {limit} terms before merging"
+            )
+        acc = acc * powers[letter, e]
     return acc
+
+
+def _pairs_below(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> int:
+    """The number of term pairs (u, v) of f and g with |u| + |v| <= degree.
+
+    f * g forms one product per pair, so this bounds its term count.
+    """
+    lengths = Counter(map(len, g.coeffs))
+    fits = list(accumulate(lengths[k] for k in range(degree + 1)))
+    return sum(fits[degree - len(u)] for u in f.coeffs)
 
 
 def eps(g: GroupWord, w: Word, modulus: Optional[int]) -> int:

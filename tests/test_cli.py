@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import lynmag.cli as cli
 import lynmag.verify as verify
-from lynmag.cli import MAX_DEGREE, main
+from lynmag.cli import MAX_DEGREE, MAX_TERMS, main
 from lynmag.errors import ConsistencyError
 
 
@@ -166,6 +166,17 @@ class TestMagnus:
             code, out, err = run(["magnus", "x^-1", "--deg", str(deg), "--mod", "9"], capsys)
             assert code == 2 and out == ""
             assert "--deg" in err
+
+    def test_term_cap(self, capsys):
+        start = time.perf_counter()
+        word = "x^-1 y^-1 x^-1 y^-1"
+        code, out, err = run(["magnus", word, "--deg", "48", "--mod", "9"], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert word in err and "--deg 48" in err and str(MAX_TERMS) in err
+        code, out, _ = run(["magnus", "[x,y]^16384", "--deg", "4", "--mod", "9"], capsys)
+        assert code == 0
+        assert "xyxy - xyyx" in out
 
     @settings(max_examples=300, deadline=timedelta(seconds=2))
     @given(

@@ -13,8 +13,10 @@ from lynmag.freegrp import (
     gr_generators,
     parse_group_word,
     tau,
+    tau_images,
 )
-from lynmag.words import Alphabet
+from lynmag.series import TruncatedSeries, magnus, series_invert
+from lynmag.words import Alphabet, lyndon_words
 
 XY = Alphabet("xy")
 XYZ = Alphabet("xyz")
@@ -91,6 +93,36 @@ class TestArithmetic:
     def test_mismatched_alphabets(self):
         with pytest.raises(ValueError):
             gw("x") * gw("x", XYZ)
+
+
+class TestTauImages:
+    def test_group_word_target_is_tau(self):
+        words = lyndon_words(XYZ, 4)
+        letter = lambda i: GroupWord(XYZ, ((i, 1),))
+        images = tau_images(words, letter, GroupWord.__mul__, GroupWord.inverse)
+        assert list(images) == [tau(w) for w in words]
+
+    def test_series_target_is_magnus_of_tau(self):
+        # Evaluating in the series ring is the Magnus image: a homomorphism.
+        words = lyndon_words(XY, 5)[::-1]
+        letter = lambda i: TruncatedSeries(XY, 27, 5, {(): 1, (i,): 1})
+        images = tau_images(words, letter, lambda a, b: a * b, series_invert)
+        assert list(images) == [magnus(tau(w), 27, 5) for w in words]
+
+    def test_letters_inverted_once_per_call(self):
+        inverted = []
+
+        def inv(g):
+            inverted.append(g)
+            return g.inverse()
+
+        letter = lambda i: GroupWord(XY, ((i, 1),))
+        list(tau_images(lyndon_words(XY, 5), letter, GroupWord.__mul__, inv))
+        assert sorted(map(str, inverted)) == ["x", "y"]
+
+    def test_rejects_non_lyndon(self):
+        with pytest.raises(ValueError, match="not a Lyndon word"):
+            list(tau_images([XY.word("yx")], str, str.__add__, str))
 
 
 class TestTau:

@@ -26,6 +26,9 @@ CASES = {
     "pairing-matrix-p5-n3-xyz.json": [
         "pairing-matrix", "--p", "5", "--n", "3", "--alphabet", "xyz", "--format", "json",
     ],
+    "pairing-matrix-p13-n5-xy.json": [
+        "pairing-matrix", "--alphabet", "xy", "--n", "5", "--p", "13", "--format", "json",
+    ],
 }
 
 

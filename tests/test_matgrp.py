@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lynmag.matgrp as matgrp
-from lynmag.freegrp import parse_group_word
+from lynmag.freegrp import parse_group_word, tau
 from lynmag.matgrp import (
     FiniteGroupTable,
     UnipotentMatrix,
     generate_group,
     iota,
+    iota_rows,
+    letter_rows,
     lower_p_central,
     rho,
+    tau_power_rows,
 )
-from lynmag.words import Alphabet
+from lynmag.words import Alphabet, lyndon_words
 
 XY = Alphabet("xy")
 
@@ -167,6 +170,49 @@ class TestIota:
             iota(3, 2, E(3, 27, 1, 3, 3))
         with pytest.raises(ValueError):
             iota(2, 3, E(4, 3, 1, 4))
+
+
+class TestPairingBatches:
+    """The batch functions behind the matrix route of the pairing."""
+
+    def test_letter_rows_are_rho_of_letters(self):
+        words = [XY.word(t) for t in ("xyx", "yyx", "xxx", "yyy")]
+        for letter, name in enumerate("xy"):
+            g = parse_group_word(XY, name)
+            rows = letter_rows(words, letter, 9)
+            assert [tuple(r) for r in rows.tolist()] == [rho(w, g, 9).data for w in words]
+
+    @pytest.mark.parametrize("block", [4096, 5])
+    def test_tau_power_rows_are_rho_of_powers(self, block, monkeypatch):
+        monkeypatch.setattr(matgrp, "BLOCK", block)
+        ws = lyndon_words(XY, 4)
+        exponents = [3 ** (4 - len(w)) for w in ws]
+        words = [XY.word(t) for t in ("xyx", "xxy", "yyx", "xyy")]
+        seen = []
+        for positions, batch in tau_power_rows(ws, exponents, words, 27):
+            assert batch.shape == (len(positions), len(words), 6)
+            assert len({exponents[i] for i in positions}) == 1
+            for i, rows in zip(positions, batch):
+                g = tau(ws[i]) ** exponents[i]
+                assert [tuple(r) for r in rows.tolist()] == [rho(v, g, 27).data for v in words]
+            seen += positions
+        assert sorted(seen) == list(range(len(ws)))
+
+    def test_iota_rows_match_iota(self):
+        rng = random.Random(4)
+        n, s, modulus = 4, 2, 27
+        mats = [E(3, modulus, 1, 3, 9 * a) for a in range(3)]
+        mats += [E(3, modulus, 1, 3, rng.randrange(1, 27)) for _ in range(5)]
+        mats += [E(3, modulus, 1, 2, 9), E(3, modulus, 2, 3, 1) * E(3, modulus, 1, 3, 9)]
+        rows = np.array([m.data for m in mats])
+        for m, got in zip(mats, iota_rows(n, s, rows, modulus).tolist()):
+            try:
+                want = iota(n, s, m)
+            except ValueError:
+                want = -1
+            assert got == want
+        with pytest.raises(ValueError):
+            iota_rows(3, s, rows, modulus)
 
 
 class TestGenerateGroup:

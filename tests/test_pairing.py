@@ -1,18 +1,33 @@
 """The duality pairing, its matrix, inversion, and vanishing rules."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+import lynmag
+import lynmag.cli
+import lynmag.matgrp
+import lynmag.series
+import lynmag.shufalg
+import lynmag.verify
 from lynmag.errors import ConsistencyError
+from lynmag.freegrp import tau
+from lynmag.matgrp import iota, rho
 from lynmag.pairing import (
     PairingMatrix,
     dual_change_of_basis,
     h2_dimension,
     pairing,
     pairing_matrix,
+    pairing_rows,
     vanishing_checks,
 )
-from lynmag.words import Alphabet, all_words, lyndon_words
+from lynmag.series import TruncatedSeries, magnus
+from lynmag.words import Alphabet, Word, all_words, lyndon_words
+
+# The package rebinds the name lynmag.pairing to the function.
+PAIRING = importlib.import_module("lynmag.pairing")
 
 X1 = Alphabet("x")
 XY = Alphabet("xy")
@@ -211,3 +226,130 @@ class TestSerialization:
         assert len(lines) == 15
         row = next(l for l in lines if l.startswith("xyz,"))
         assert ",-1" in row  # balanced representative of 4 mod 5
+
+
+def reference_pairing(w: Word, w_prime: Word, n: int, p: int) -> int:
+    """The per-entry definition: expand the generator into a group word,
+    read the Magnus coefficient of w', and read iota of rho(w', g)."""
+    g = tau(w) ** (p ** (n - len(w)))
+    s = len(w_prime)
+    modulus, shift = p ** (n - s + 1), p ** (n - s)
+    c = magnus(g, modulus, s).coeffs.get(w_prime.indices, 0)
+    assert c % shift == 0
+    assert iota(n, s, rho(w_prime, g, modulus)) == c // shift
+    return c // shift
+
+
+def reference_rows(ws, words, n, p) -> np.ndarray:
+    return np.array([[reference_pairing(w, v, n, p) for v in words] for w in ws])
+
+
+class TestRowsAgainstReference:
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lyndon_rows_two_letters(self, n, p):
+        index = lyndon_words(XY, n)
+        got = pairing_rows(index, index, n, p)
+        assert np.array_equal(got, reference_rows(index, index, n, p))
+        assert np.array_equal(pairing_matrix(n, p, XY).rows, got)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lyndon_rows_three_letters(self, n, p):
+        index = lyndon_words(XYZ, n)
+        got = pairing_rows(index, index, n, p)
+        assert np.array_equal(got, reference_rows(index, index, n, p))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_all_words_two_letters(self, p):
+        index = lyndon_words(XY, 4)
+        words = [w for length in range(1, 5) for w in all_words(XY, length)]
+        got = pairing_rows(index, words, 4, p)
+        assert np.array_equal(got, reference_rows(index, words, 4, p))
+
+    def test_single_entry_is_one_by_one_row(self):
+        w, v = XYZ.word("xyz"), XYZ.word("xzy")
+        assert pairing(w, v, 3, 5) == int(pairing_rows([w], [v], 3, 5)[0, 0]) == 4
+
+    def test_moduli_beyond_int64(self):
+        # 13^9 squared overflows int64: both routes switch to exact integers
+        ws = [XY.word(t) for t in ("x", "y", "xy")]
+        words = [XY.word(t) for t in ("x", "y", "xy", "yx", "xx")]
+        want = pairing_rows(ws, words, 2, 13)
+        assert np.array_equal(pairing_rows(ws, words, 9, 13), want)
+        assert want[2].tolist() == [0, 0, 1, 12, 0]
+
+    def test_empty_requests(self):
+        assert pairing_rows([], [XY.word("x")], 2, 3).shape == (0, 1)
+        assert pairing_rows([XY.word("x")], [], 2, 3).shape == (1, 0)
+
+
+class TestFaultInjection:
+    """A corrupted route must surface as a ConsistencyError naming the pair."""
+
+    def test_series_route_off_by_one(self, monkeypatch):
+        real = PAIRING.series_pow
+
+        def shifted(f, k):
+            # adds p^(n-1) x: divisibility still holds, the value moves by 1
+            bump = TruncatedSeries(f.alphabet, f.modulus, f.degree, {(0,): 9})
+            return real(f, k) + bump
+
+        monkeypatch.setattr(PAIRING, "series_pow", shifted)
+        with pytest.raises(ConsistencyError, match=r"routes disagree for <x, x>_3: series 2, matrix 1"):
+            pairing_matrix(3, 3, XY)
+
+    def test_series_route_divisibility(self, monkeypatch):
+        real = PAIRING.series_pow
+
+        def broken(f, k):
+            return real(f, k) + TruncatedSeries(f.alphabet, f.modulus, f.degree, {(0,): 1})
+
+        monkeypatch.setattr(PAIRING, "series_pow", broken)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"coefficient 10 of x in the image of tau\(x\)\*\*\(p\*\*2\) "
+            r"is not divisible by 9 mod 27",
+        ):
+            pairing(XY.word("x"), XY.word("x"), 3, 3)
+
+    def test_matrix_route_letter_image(self, monkeypatch):
+        real = lynmag.matgrp.letter_rows
+
+        def doubled(words, letter, modulus):
+            return 2 * real(words, letter, modulus) % modulus
+
+        monkeypatch.setattr(lynmag.matgrp, "letter_rows", doubled)
+        with pytest.raises(ConsistencyError, match=r"routes disagree for <x, x>_3: series 1, matrix 2"):
+            pairing(XY.word("x"), XY.word("x"), 3, 3)
+
+    def test_non_central_matrix_gives_iota_message(self, monkeypatch):
+        real = PAIRING.tau_power_rows
+
+        def skewed(*args):
+            for positions, batch in real(*args):
+                batch = batch.copy()
+                batch[..., 0] += 1  # entry (1, 2)
+                yield positions, batch
+
+        monkeypatch.setattr(PAIRING, "tau_power_rows", skewed)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"matrix route failed for <xy, xy>_2: "
+            r"matrix is not in the central subgroup: entry \(1,2\) = 1",
+        ):
+            pairing(XY.word("xy"), XY.word("xy"), 2, 3)
+
+
+def test_routes_never_call_magnus_or_rho(monkeypatch):
+    want = pairing_matrix(4, 3, XY).rows
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pairing must not call magnus or rho")
+
+    for module in (lynmag, lynmag.series, lynmag.matgrp, PAIRING, lynmag.shufalg,
+                   lynmag.verify, lynmag.cli):
+        for name in ("magnus", "rho"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert np.array_equal(pairing_matrix(4, 3, XY).rows, want)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import lynmag.series as series_mod
 from lynmag.freegrp import GroupWord, commutator, parse_group_word, tau
 from lynmag.series import (
     TruncatedSeries,
@@ -199,6 +200,21 @@ class TestMagnus:
                 lhs = magnus(g * h, modulus, 4)
                 rhs = magnus(g, modulus, 4) * magnus(h, modulus, 4)
                 assert lhs == rhs
+
+    def test_letters_inverted_once_per_call(self, monkeypatch):
+        magnus.cache_clear()
+        calls = []
+        real = series_mod.series_invert
+        monkeypatch.setattr(series_mod, "series_invert", lambda f: calls.append(f) or real(f))
+        f = magnus(gw("[x,y]^40 x^-3 y^-2"), 9, 4)
+        assert len(calls) == 2
+        assert f == magnus(gw("[x,y]^40"), 9, 4) * magnus(gw("x^-3 y^-2"), 9, 4)
+
+    def test_limit_bounds_each_product(self):
+        g = gw("x^-1 y^-1 x^-1 y^-1")
+        assert len(magnus(g, 9, 12, limit=10**4).coeffs) == len(magnus(g, 9, 12).coeffs)
+        with pytest.raises(ValueError, match="more than 100 terms"):
+            magnus(g, 9, 12, limit=100)
 
     def test_power_consistency(self):
         g = gw("x y^-1")

@@ -1,9 +1,10 @@
-"""Small dense linear algebra over F_p.
+"""Dense linear algebra over F_p.
 
-Matrices are numpy int64 arrays with entries reduced mod p; sizes here
-are tiny (tens of rows), so clarity wins over vectorization tricks.
-Pivots are always chosen left to right, which makes every reduced form
-canonical given the row set.
+Matrices are numpy int64 arrays with entries reduced mod p.  Shuffle
+spans reach a few thousand rows and columns per letter-content block,
+so each elimination step updates every affected row in one array
+operation.  Pivots are always chosen left to right, which makes every
+reduced form canonical given the row set.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]
     for c in range(cols):
         if r == rows:
             break
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
             continue
+        # Rows r and below are zero left of c, so the swap, the scaling
+        # and the elimination by row r touch only columns c onward.
+        piv = r + int(below[0])
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+            a[[r, piv], c:] = a[[piv, r], c:]
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a[: len(pivots)], tuple(pivots)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .freegrp import GroupWord
 from .linalg import rref_mod_p, solve_mod_p
-from .series import TruncatedSeries, WordKey, inner_product, is_prime, magnus
+from .series import TruncatedSeries, WordKey, is_prime, magnus
 from .words import Alphabet, Word, lyndon_words
 
 
@@ -87,6 +87,12 @@ def infiltration(u: Word, v: Word) -> TruncatedSeries:
     )
 
 
+def _pair(f: dict[WordKey, int], q: dict[WordKey, int]) -> int:
+    # inner_product over raw coefficient maps, for a cached product q
+    # whose words all lie within the truncation degree of f.
+    return sum(f.get(key, 0) * c for key, c in q.items())
+
+
 def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     """Coefficient identity eps_u(s)·eps_v(s) = (magnus(s), u infiltration v).
 
@@ -96,10 +102,9 @@ def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     _check_factors(u, v)
     if sigma.alphabet != u.alphabet:
         raise ValueError("group word over a different alphabet")
-    deg = len(u) + len(v)
-    f = magnus(sigma, modulus, deg)
-    lhs = f.coefficient(u) * f.coefficient(v)
-    rhs = inner_product(f, infiltration(u, v))
+    f = magnus(sigma, modulus, len(u) + len(v)).coeffs
+    lhs = f.get(u.indices, 0) * f.get(v.indices, 0)
+    rhs = _pair(f, _infiltration_keys(u.indices, v.indices))
     if modulus is None:
         return lhs == rhs
     return (lhs - rhs) % modulus == 0
@@ -124,9 +129,8 @@ def shuffle_congruence_check(
     s = len(u) + len(v)
     if s > n:
         raise ValueError(f"|u| + |v| = {s} exceeds n = {n}")
-    f = magnus(sigma, p ** (n + 2), s)
-    value = inner_product(f, shuffle(u, v))
-    return value % p ** (n - s + 1) == 0
+    f = magnus(sigma, p ** (n + 2), s).coeffs
+    return _pair(f, _shuffle_keys(u.indices, v.indices)) % p ** (n - s + 1) == 0
 
 
 def palindrome_identity(w: Word) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -286,22 +290,37 @@ def shuffle_span_basis(
     if m**d > cap:
         raise ValueError(f"word space dimension {m**d} exceeds cap {cap}")
     columns = tuple(product(range(m), repeat=d))
-    col = {key: i for i, key in enumerate(columns)}
-    rows: list[np.ndarray] = []
+    # Shuffles preserve letter content, so the span is the direct sum of
+    # its letter-content blocks.  RREF is unique for a row space, so
+    # reducing each block alone and sorting the rows by pivot gives the
+    # same rows and pivots as one reduction of all shuffles together.
+    blocks: dict[WordKey, list[int]] = {}
+    for i, key in enumerate(columns):
+        blocks.setdefault(tuple(sorted(key)), []).append(i)
+    local = {columns[i]: j for cols in blocks.values() for j, i in enumerate(cols)}
+    shuffles: dict[WordKey, list[dict[WordKey, int]]] = {content: [] for content in blocks}
     # Shuffle is commutative, so unordered pairs suffice.
     for a in range(1, d // 2 + 1):
         for uk in product(range(m), repeat=a):
             for vk in product(range(m), repeat=d - a):
                 if 2 * a == d and vk < uk:
                     continue
-                vec = np.zeros(len(columns), dtype=np.int64)
-                for key, c in _shuffle_keys(uk, vk).items():
-                    vec[col[key]] = c % p
-                rows.append(vec)
-    if rows:
-        reduced, pivots = rref_mod_p(np.stack(rows), p)
-    else:
-        reduced, pivots = np.zeros((0, len(columns)), dtype=np.int64), ()
+                shuffles[tuple(sorted(uk + vk))].append(_shuffle_keys(uk, vk))
+    parts: list[tuple[list[int], np.ndarray, tuple[int, ...]]] = []
+    for content, cols in blocks.items():
+        if not shuffles[content]:
+            continue
+        block = np.zeros((len(shuffles[content]), len(cols)), dtype=np.int64)
+        for row, q in zip(block, shuffles[content]):
+            for key, c in q.items():
+                row[local[key]] = c % p
+        reduced, block_pivots = rref_mod_p(block, p)
+        parts.append((cols, reduced, tuple(cols[c] for c in block_pivots)))
+    pivots = tuple(sorted(c for _, _, piv in parts for c in piv))
+    position = {c: i for i, c in enumerate(pivots)}
+    reduced = np.zeros((len(pivots), len(columns)), dtype=np.int64)
+    for cols, block_rows, piv in parts:
+        reduced[np.ix_([position[c] for c in piv], cols)] = block_rows
     return ShuffleSpanBasis(d, p, alphabet, columns, reduced, pivots)
 
 

@@ -1,7 +1,7 @@
 """Shuffle and infiltration products, span reduction, and the congruences."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 
 from lynmag.freegrp import GroupWord, parse_group_word
 from lynmag.linalg import rref_mod_p
-from lynmag.series import TruncatedSeries
+from lynmag.series import TruncatedSeries, inner_product, magnus
 from lynmag.shufalg import (
     cfl_check,
     infiltration,
@@ -170,8 +170,67 @@ class TestCflIdentity:
                 assert cfl_check(u, v, sigma, 27)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            cfl_check(XY.word("x"), XY.word("y"), parse_group_word(XYZ, "x"), 25)
+        x, y = XY.word("x"), XY.word("y")
+        with pytest.raises(ValueError, match="different alphabet"):
+            cfl_check(x, y, parse_group_word(XYZ, "x"), 25)
+        with pytest.raises(ValueError, match="different alphabets"):
+            cfl_check(x, XYZ.word("y"), parse_group_word(XY, "x"), None)
+        with pytest.raises(ValueError, match="nonempty"):
+            cfl_check(Word(XY, ()), y, parse_group_word(XY, "x"), 27)
+
+
+class TestChecksMatchDefinition:
+    """The checks read cached products; their definition builds series.
+
+    The coefficient identity is a theorem, so cfl_check answers True on
+    every input; the congruence check is the one that also answers False.
+    """
+
+    @staticmethod
+    def cfl_by_definition(u, v, sigma, modulus):
+        f = magnus(sigma, modulus, len(u) + len(v))
+        lhs = f.coefficient(u) * f.coefficient(v)
+        rhs = inner_product(f, infiltration(u, v))
+        if modulus is None:
+            return lhs == rhs
+        return (lhs - rhs) % modulus == 0
+
+    @staticmethod
+    def congruence_by_definition(u, v, sigma, n, p):
+        s = len(u) + len(v)
+        f = magnus(sigma, p ** (n + 2), s)
+        return inner_product(f, shuffle(u, v)) % p ** (n - s + 1) == 0
+
+    @pytest.mark.parametrize("modulus", [None, 3**5, 2**5])
+    def test_cfl_check(self, modulus):
+        rng = random.Random(17)
+        words = [w for s in (1, 2, 3) for w in all_words(XY, s)]
+        for _ in range(8):
+            sigma = random_group_word(XY, rng, rng.randint(1, 10))
+            for u in words:
+                for v in words:
+                    want = self.cfl_by_definition(u, v, sigma, modulus)
+                    assert cfl_check(u, v, sigma, modulus) == want
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 3), (4, 5)])
+    def test_shuffle_congruence_check(self, n, p):
+        rng = random.Random(19 + n * p)
+        pairs = [
+            (u, v)
+            for a in range(1, n)
+            for u in all_words(XY, a)
+            for b in range(1, n - a + 1)
+            for v in all_words(XY, b)
+        ]
+        sigmas = [random_group_word(XY, rng, rng.randint(1, 8)) for _ in range(6)]
+        sigmas.append(parse_group_word(XY, f"x^{p ** (n - 1)} [x, y]^{p ** (n - 2)}"))
+        answers = set()
+        for sigma in sigmas:
+            for u, v in pairs:
+                want = self.congruence_by_definition(u, v, sigma, n, p)
+                assert shuffle_congruence_check(u, v, sigma, n, p) == want
+                answers.add(want)
+        assert answers == {True, False}
 
 
 class TestShuffleCongruence:
@@ -211,6 +270,12 @@ class TestShuffleCongruence:
             shuffle_congruence_check(x, y, sigma, 2, 4)
         with pytest.raises(ValueError):
             shuffle_congruence_check(x, y, sigma, 0, 3)
+        with pytest.raises(ValueError, match="different alphabet"):
+            shuffle_congruence_check(x, y, parse_group_word(XYZ, "x"), 3, 3)
+        with pytest.raises(ValueError, match="different alphabets"):
+            shuffle_congruence_check(x, XYZ.word("y"), sigma, 3, 3)
+        with pytest.raises(ValueError, match="nonempty"):
+            shuffle_congruence_check(x, Word(XY, ()), sigma, 3, 3)
 
 
 class TestSpanBasis:
@@ -271,6 +336,43 @@ class TestSpanBasis:
         assert report["lyndon_map"]["yx"] == {"xy": 4}
         assert report["lyndon_map"]["xx"] == {}
         assert "lyndon_map" not in shuffle_span_basis(2, 3, XY).to_json()
+
+
+def global_span(d, p, alphabet):
+    """Every u ш v of degree d as one full-width row, in one reduction."""
+    m = len(alphabet)
+    columns = {key: i for i, key in enumerate(product(range(m), repeat=d))}
+    rows = []
+    for a in range(1, d):
+        for uk in product(range(m), repeat=a):
+            for vk in product(range(m), repeat=d - a):
+                vec = np.zeros(len(columns), dtype=np.int64)
+                for key, c in shuffle(Word(alphabet, uk), Word(alphabet, vk)).coeffs.items():
+                    vec[columns[key]] = c % p
+                rows.append(vec)
+    if not rows:
+        return np.zeros((0, len(columns)), dtype=np.int64), ()
+    return rref_mod_p(np.stack(rows), p)
+
+
+class TestBlockSpanMatchesGlobal:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("letters", ["x", "xy", "xyz", "xyzt"])
+    def test_rows_and_pivots(self, letters, p):
+        alphabet = Alphabet(tuple(letters))
+        for d in range(1, 6):
+            rows, pivots = global_span(d, p, alphabet)
+            basis = shuffle_span_basis(d, p, alphabet)
+            assert basis.pivots == pivots
+            assert np.array_equal(basis.rows, rows)
+            assert basis.rows.dtype == np.int64
+            assert basis.quotient_dim == len(alphabet) ** d - len(pivots)
+
+    def test_quotient_exceeds_necklaces_for_small_primes(self):
+        # For p <= d the shuffle span loses rank mod p, which is why the
+        # block and global reductions are compared at p = 2 and 3 too.
+        assert shuffle_span_basis(2, 2, XY).quotient_dim > necklace(2, 2)
+        assert shuffle_span_basis(3, 3, XY).quotient_dim > necklace(3, 2)
 
 
 class TestReduceModShuffles:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import ConsistencyError
 from .freegrp import format_group_word, parse_group_word
-from .matgrp import UnipotentMatrix, rho
+from .matgrp import rho
 from .pairing import pairing_matrix
 from .series import balanced, is_prime, koch_test, magnus, prime_power
 from .shufalg import infiltration, reduce_mod_shuffles, shuffle, shuffle_span_basis
@@ -39,7 +39,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "text"
     out: Optional[str] = None
-    span_cap: int = 4096
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -81,7 +80,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         seed=pick("seed", 0, int),
         fmt=pick("format", "text", str),
         out=pick("out", None, str),
-        span_cap=pick("span_cap", 4096, int),
     )
     unknown = sorted(set(file_cfg) - known)
     if unknown:
@@ -229,11 +227,9 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
     if args.rho:
         if config.mod is None:
             raise ValueError("--rho requires --mod (a prime power)")
-        matrices = {}
-        for text in args.rho.split(","):
-            w = config.alphabet.word(text.strip())
-            matrices[str(w)] = rho(w, g, config.mod).to_json()
-        payload["rho"] = matrices
+        words = [config.alphabet.word(text.strip()) for text in args.rho.split(",")]
+        matrices = {str(w): rho(w, g, config.mod) for w in words}
+        payload["rho"] = {w_text: m.to_json() for w_text, m in matrices.items()}
     if config.fmt == "json":
         emit_json(payload, config)
     elif config.fmt == "csv":
@@ -255,10 +251,10 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
             lines.append(
                 f"koch criterion (n={config.n}, p={config.p}): {verdict}"
             )
-        if "rho" in payload:
-            for w_text, data in payload["rho"].items():
+        if args.rho:
+            for w_text, matrix in matrices.items():
                 lines.append(f"rho^({w_text}) mod {config.mod}:")
-                dense = UnipotentMatrix.from_json(data).dense()
+                dense = matrix.dense()
                 width = max(len(str(v)) for row in dense for v in row)
                 for row in dense:
                     lines.append("  " + " ".join(str(v).rjust(width) for v in row))
@@ -272,12 +268,12 @@ def cmd_shuffle(config: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(
             "give two words to shuffle, or --span --deg D, or --reduce WORD"
         )
+    if config.fmt == "csv":
+        raise ValueError("shuffle has no csv output; use --format text or json")
     if args.span:
         if config.deg is None:
             raise ValueError("--span requires --deg")
-        basis = shuffle_span_basis(
-            config.deg, config.p, config.alphabet, cap=config.span_cap
-        )
+        basis = shuffle_span_basis(config.deg, config.p, config.alphabet)
         if config.fmt == "json":
             emit_json(basis.to_json(), config)
         else:

@@ -11,7 +11,9 @@ canonical generating family of each layer of the lower p-central series
 (see ``gr_generators``).  ``tau_images`` evaluates the same recursion in
 any target group given the images of the letters, so a caller that only
 needs the image of tau(w), such as a Magnus series or a unipotent
-matrix, never builds the group word.
+matrix, never builds the group word.  ``syllable_images`` and ``power``
+evaluate any group word: ``magnus`` on letter series, ``rho`` on letter
+matrices, and ``homomorphism-properties`` checks the one against the other.
 """
 
 from __future__ import annotations
@@ -82,18 +84,8 @@ class GroupWord:
         return self.inverse()
 
     def __pow__(self, k: int) -> "GroupWord":
-        if len(self.syllables) == 1:
-            letter, exp = self.syllables[0]
-            return GroupWord(self.alphabet, ((letter, exp * k),))
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = GroupWord.identity(self.alphabet)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(base, abs(k), GroupWord.__mul__, GroupWord.identity(self.alphabet))
 
     def is_identity(self) -> bool:
         return not self.syllables
@@ -103,6 +95,43 @@ class GroupWord:
 
     def __repr__(self) -> str:
         return f"GroupWord({format_group_word(self)!r})"
+
+
+def power(a: T, k: int, mul: Callable[[T, T], T], one: T) -> T:
+    """a^k, k >= 0, by binary powering; never squares after the last bit."""
+    if k < 0:
+        raise ValueError(f"exponent must be nonnegative, got {k}")
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return result
+
+
+def syllable_images(
+    g: GroupWord,
+    letter: Callable[[int], T],
+    mul: Callable[[T, T], T],
+    inv: Callable[[T], T],
+    one: T,
+) -> Iterator[T]:
+    """The image of each syllable x^e of g, in order, in any target group.
+
+    Each letter image is inverted at most once and each distinct syllable
+    powered once; callers fold the images and may bound each product.
+    """
+    bases: dict[tuple[int, bool], T] = {}
+    powers: dict[Syllable, T] = {}
+    for x, e in g.syllables:
+        if (x, e) not in powers:
+            key = (x, e < 0)
+            if key not in bases:
+                bases[key] = inv(letter(x)) if e < 0 else letter(x)
+            powers[x, e] = power(bases[key], abs(e), mul, one)
+        yield powers[x, e]
 
 
 def commutator(g: GroupWord, h: GroupWord) -> GroupWord:
@@ -176,10 +205,7 @@ def gr_generators(
         raise ValueError("layer index must be positive")
     if p < 2:
         raise ValueError("p must be at least 2")
-    out = []
-    for w in lyndon_words(alphabet, n):
-        out.append((w, tau(w) ** (p ** (n - len(w)))))
-    return out
+    return [(w, tau(w) ** (p ** (n - len(w)))) for w in lyndon_words(alphabet, n)]
 
 
 def format_group_word(g: GroupWord) -> str:

@@ -7,30 +7,31 @@ hashable; ``rho``, ``iota`` and the verification checks use these.
 
 The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
 instead works on whole blocks of matrices: each matrix is one row of an
-(N, E) array, E = size*(size-1)/2, and a private kernel forms row-wise
-products, inverses and powers.  Entries are int64 when every reduced
-product of two residues fits, and exact Python ints otherwise.  At most
-``BLOCK`` products are formed per kernel call, which bounds memory.
-The matrix route of the duality pairing runs on the same kernels:
-``tau_power_rows`` evaluates tau(w) on the batch of letter images
-``letter_rows`` of many words at once, and ``iota_rows`` reads the
-central coordinate of a whole batch.
+(N, E) array, E = size*(size-1)/2, and a private kernel that runs no
+free-group code forms row-wise products, inverses and powers.  Entries
+are int64 when every reduced product of two residues fits, and exact
+Python ints otherwise.  At most ``BLOCK`` products are formed per kernel
+call, which bounds memory.  The matrix route of the duality pairing runs
+on the same kernels: ``tau_power_rows`` evaluates tau(w) on the batch of
+letter images ``letter_rows`` of many words at once, and ``iota_rows``
+reads the central coordinate of a whole batch.
 
-``rho`` builds the unipotent representation attached to a word: the
-(i, j) entry of the image of g is the Magnus coefficient of the subword
-from position i to j-1.  ``iota`` reads off the distinguished central
-coordinate used by the duality pairing.
+``rho`` builds the unipotent representation attached to a word from
+letter matrices; the (i, j) entry of the image of g is the Magnus
+coefficient of the subword from position i to j-1.  ``iota`` reads off
+the distinguished central coordinate used by the duality pairing.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .freegrp import GroupWord, tau_images
-from .series import is_prime, magnus, prime_power
+from .freegrp import GroupWord, power, syllable_images, tau_images
+from .series import is_prime, prime_power
 from .words import Word
 
 # Products per kernel call in the group engine; bounds its working memory.
@@ -144,14 +145,8 @@ class UnipotentMatrix:
 
     def __pow__(self, k: int) -> "UnipotentMatrix":
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = UnipotentMatrix.identity(self.size, self.modulus)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        one = UnipotentMatrix.identity(self.size, self.modulus)
+        return power(base, abs(k), operator.mul, one)
 
     def is_identity(self) -> bool:
         return not any(self.data)
@@ -183,32 +178,27 @@ class UnipotentMatrix:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "UnipotentMatrix":
-        entries = {(int(i), int(j)): int(v) for i, j, v in data["entries"]}
-        return cls.from_entries(int(data["size"]), int(data["modulus"]), entries)
-
 
 def rho(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
-    """The unipotent matrix of Magnus coefficients of subwords of w.
+    """The unipotent representation attached to w, evaluated at g.
 
-    For w = x_1...x_s the image has (i, j) entry equal to the coefficient
-    of x_i...x_{j-1} in the Magnus series of g; it is a homomorphism into
-    the unitriangular group of size s+1, sending the letter x_i itself to
-    I + E_{i,i+1}.
+    Letter x maps to I + sum of E_{i,i+1} over the positions i with
+    w_i = x, and g is the product of its ``syllable_images``.  The (i, j)
+    entry is the Magnus coefficient of w_i...w_{j-1} in g, which
+    ``homomorphism-properties`` checks against ``magnus``.
     """
     s = len(w)
     if s < 1:
         raise ValueError("word must be nonempty")
     if w.alphabet != g.alphabet:
         raise ValueError("word and group word use different alphabets")
-    f = magnus(g, modulus, s)
-    u = w.indices
-    size = s + 1
-    data = tuple(
-        f.coeffs.get(u[i - 1 : j - 1], 0) for (i, j) in _upper_pairs(size)
-    )
-    return UnipotentMatrix(size, modulus, data)
+    one = UnipotentMatrix.identity(s + 1, modulus)
+
+    def letter(x: int) -> UnipotentMatrix:
+        return UnipotentMatrix(s + 1, modulus, letter_rows([w], x, modulus)[0].tolist())
+
+    images = syllable_images(g, letter, operator.mul, UnipotentMatrix.inverse, one)
+    return reduce(operator.mul, images, one)
 
 
 def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:

@@ -9,20 +9,23 @@ live either in Z/p^k (``modulus`` a prime power) or in Z itself
 statements, since no single residue can.
 
 ``magnus`` sends a free-group word to its image under the ring map
-x -> 1 + x, x^-1 -> 1 - x + x^2 - ...; the coefficient functionals
-``eps`` extracted from that image detect membership in the lower central
-and lower p-central series (``lower_central_test``, ``koch_test``).
+x -> 1 + x, x^-1 -> 1 - x + x^2 - ...; ``matgrp.rho`` maps it to letter
+matrices instead, and ``homomorphism-properties`` checks its entries
+against these coefficients.  The coefficient functionals ``eps`` detect
+membership in the lower central and lower p-central series
+(``lower_central_test``, ``koch_test``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Optional
 
-from .freegrp import GroupWord, commutator
+from .freegrp import GroupWord, commutator, power, syllable_images
 from .words import Alphabet, Word, is_lyndon, standard_factorization
 
 WordKey = tuple[int, ...]
@@ -224,28 +227,12 @@ class TruncatedSeries:
             ],
         }
 
-    @classmethod
-    def from_json(cls, alphabet: Alphabet, data: dict) -> "TruncatedSeries":
-        coeffs = {
-            alphabet.word(t["word"]).indices: int(t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(alphabet, data["modulus"], data["degree"], coeffs)
-
 
 def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
     """f^k by binary exponentiation; k < 0 inverts first."""
     if k < 0:
-        return series_pow(series_invert(f), -k)
-    result = TruncatedSeries.one(f.alphabet, f.modulus, f.degree)
-    base = f
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
+        f, k = series_invert(f), -k
+    return power(f, k, operator.mul, TruncatedSeries.one(f.alphabet, f.modulus, f.degree))
 
 
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:
@@ -279,30 +266,23 @@ def magnus(
 ) -> TruncatedSeries:
     """Image of a free-group word under x -> 1 + x, truncated.
 
-    Each syllable x^e is evaluated by binary exponentiation of (1 + x)
-    or, for negative e, of its inverse; each letter is inverted at most
-    once per call and each distinct syllable powered once, so exponent
-    size costs log(e) series multiplications.  With ``limit`` set, a
-    syllable product that would form more than ``limit`` terms before
-    merging raises ValueError before it is formed, which bounds the
-    size of every partial product.  Results are immutable and cached: bulk
-    verification sweeps evaluate many coefficients of the same image.
+    The product of the ``syllable_images`` of g on the letter series.
+    With ``limit`` set, a syllable product that would form more than
+    ``limit`` terms before merging raises ValueError before it is
+    formed, which bounds every partial product.  Results are immutable
+    and cached: bulk verification sweeps read many coefficients of one image.
     """
-    bases: dict[tuple[int, bool], TruncatedSeries] = {}
-    powers: dict[tuple[int, int], TruncatedSeries] = {}
-    acc = TruncatedSeries.one(g.alphabet, modulus, degree)
-    for letter, e in g.syllables:
-        if (letter, e) not in powers:
-            key = (letter, e < 0)
-            if key not in bases:
-                base = TruncatedSeries(g.alphabet, modulus, degree, {(): 1, (letter,): 1})
-                bases[key] = series_invert(base) if e < 0 else base
-            powers[letter, e] = series_pow(bases[key], abs(e))
-        if limit is not None and _pairs_below(acc, powers[letter, e], degree) > limit:
+
+    def letter(x: int) -> TruncatedSeries:
+        return TruncatedSeries(g.alphabet, modulus, degree, {(): 1, (x,): 1})
+
+    acc = one = TruncatedSeries.one(g.alphabet, modulus, degree)
+    for image in syllable_images(g, letter, operator.mul, series_invert, one):
+        if limit is not None and _pairs_below(acc, image, degree) > limit:
             raise ValueError(
                 f"a syllable product would form more than {limit} terms before merging"
             )
-        acc = acc * powers[letter, e]
+        acc = acc * image
     return acc
 
 

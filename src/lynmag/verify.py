@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Optional
 
 from .errors import ConsistencyError
@@ -409,8 +409,15 @@ def _check_homomorphism_properties(config: VerifyConfig):
             ),
         )
         rho_pairs += 1
-        if rho(w, g * h, modulus) != rho(w, g, modulus) * rho(w, h, modulus):
+        rho_g = rho(w, g, modulus)
+        if rho(w, g * h, modulus) != rho_g * rho(w, h, modulus):
             failures.append(f"rho: w={w} g={g} h={h} mod {modulus}")
+        # rho is built from letter matrices, so this compares two routes.
+        u, dense = w.indices, rho_g.dense()
+        coeffs = magnus(g, modulus, len(w)).coeffs
+        spans = combinations(range(len(u) + 1), 2)  # 0-based (i, j), i < j
+        if any(dense[i][j] != coeffs.get(u[i:j], 0) for i, j in spans):
+            failures.append(f"rho vs magnus: w={w} g={g} mod {modulus}")
     details = {"magnus_pairs": magnus_pairs, "rho_pairs": rho_pairs}
     if failures:
         details["failures"] = failures[:10]

@@ -255,6 +255,16 @@ class TestShuffle:
         assert run(["shuffle", "--span"], capsys)[0] == 2
         assert run(["shuffle", "--reduce", "xy", "--p", "3"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("mode", [["xy", "x"], ["--span", "--deg", "3"], ["--reduce", "yx"]])
+    def test_csv_rejected(self, mode, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=csv\n")
+        for extra in (["--format", "csv"], ["--config", str(cfg)]):
+            code, out, err = run(["shuffle", *mode, *extra], capsys)
+            assert code == 2
+            assert out == ""
+            assert "shuffle has no csv output" in err
+
 
 class TestVerify:
     def test_single_check_passes(self, capsys):
@@ -334,7 +344,7 @@ class TestConfigPlumbing:
         assert code == 2
         assert "key=value" in err
 
-    @pytest.mark.parametrize("line", ["bogus=1", "group_cap=10"])
+    @pytest.mark.parametrize("line", ["bogus=1", "group_cap=10", "span_cap=4096"])
     def test_unknown_config_key(self, line, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"n=3\n{line}\n")

@@ -1,5 +1,6 @@
 """Free-group words: reduction, arithmetic, commutators, tau, generators."""
 
+import operator
 import random
 
 import pytest
@@ -12,10 +13,13 @@ from lynmag.freegrp import (
     format_group_word,
     gr_generators,
     parse_group_word,
+    power,
+    syllable_images,
     tau,
     tau_images,
 )
-from lynmag.series import TruncatedSeries, magnus, series_invert
+from lynmag.matgrp import UnipotentMatrix
+from lynmag.series import TruncatedSeries, magnus, series_invert, series_pow
 from lynmag.words import Alphabet, lyndon_words
 
 XY = Alphabet("xy")
@@ -93,6 +97,73 @@ class TestArithmetic:
     def test_mismatched_alphabets(self):
         with pytest.raises(ValueError):
             gw("x") * gw("x", XYZ)
+
+
+class TestPower:
+    """The one binary powering, behind every ``**`` and ``series_pow``."""
+
+    def cases(self):
+        rng = random.Random(3)
+        g = random_word(rng, XYZ, 5) * gw("x y^-1 z", XYZ)
+        f = magnus(g, 27, 4)
+        a = UnipotentMatrix(4, 27, [rng.randrange(27) for _ in range(6)])
+        return [
+            (g, GroupWord.identity(XYZ), GroupWord.__pow__),
+            (f, TruncatedSeries.one(XYZ, 27, 4), series_pow),
+            (a, UnipotentMatrix.identity(4, 27), UnipotentMatrix.__pow__),
+        ]
+
+    def test_matches_repeated_product(self):
+        for base, one, pow_ in self.cases():
+            acc = one
+            for k in range(21):
+                assert power(base, k, operator.mul, one) == acc
+                assert pow_(base, k) == acc
+                acc = acc * base
+
+    def test_negative_exponent_inverts(self):
+        for base, one, pow_ in self.cases():
+            for k in range(1, 21):
+                assert pow_(base, -k) * pow_(base, k) == one
+
+    def test_never_squares_after_the_last_bit(self):
+        for k in range(21):
+            products = []
+            power(2, k, lambda a, b: products.append((a, b)) or a * b, 1)
+            squarings = max(k.bit_length() - 1, 0)
+            assert len(products) == squarings + bin(k).count("1")
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            power(2, -1, operator.mul, 1)
+
+
+class TestSyllableImages:
+    def test_images_in_order(self):
+        g = gw("x^3 y^-2 z x^-1 y^-2 x^3", XYZ)
+        letter = lambda i: GroupWord(XYZ, ((i, 1),))
+        one = GroupWord.identity(XYZ)
+        images = syllable_images(g, letter, GroupWord.__mul__, GroupWord.inverse, one)
+        assert list(images) == [GroupWord(XYZ, (s,)) for s in g.syllables]
+
+    def test_letters_inverted_and_syllables_powered_once(self):
+        inverted, products = [], []
+
+        def inv(a):
+            inverted.append(a)
+            return -a
+
+        def mul(a, b):
+            products.append((a, b))
+            return a + b
+
+        # Letter i maps to i + 1 in the additive integers, so x^e maps to e(i + 1).
+        g = gw("x^3 y^-2 x^3 y^-2 x^-1 y^5 x^-1", XY)
+        images = list(syllable_images(g, lambda i: i + 1, mul, inv, 0))
+        assert images == [3, -4, 3, -4, -1, 10, -1]
+        assert sorted(inverted) == [1, 2]
+        # x^3, y^-2, x^-1 and y^5 are each powered once: 3 + 2 + 1 + 4 products.
+        assert len(products) == 10
 
 
 class TestTauImages:

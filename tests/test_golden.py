@@ -30,6 +30,13 @@ CASES = {
         "pairing-matrix", "--alphabet", "xy", "--n", "5", "--p", "13", "--format", "json",
     ],
 }
+# rho is evaluated on letter matrices, the series on letter series; both pinned.
+MAGNUS_RHO = [
+    "magnus", "x^-1 [x, y]^2 y^3", "--deg", "4", "--mod", "27",
+    "--rho", "xy,xyx,yxy", "--coeff", "xy,yx",
+]
+CASES["magnus-rho-mod27-deg4.text"] = MAGNUS_RHO + ["--format", "text"]
+CASES["magnus-rho-mod27-deg4.json"] = MAGNUS_RHO + ["--format", "json"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

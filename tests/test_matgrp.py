@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lynmag.matgrp as matgrp
-from lynmag.freegrp import parse_group_word, tau
+import lynmag.series as series
+import lynmag.verify as verify
+from lynmag.freegrp import GroupWord, parse_group_word, tau
 from lynmag.matgrp import (
     FiniteGroupTable,
     UnipotentMatrix,
@@ -19,9 +21,11 @@ from lynmag.matgrp import (
     rho,
     tau_power_rows,
 )
-from lynmag.words import Alphabet, lyndon_words
+from lynmag.series import magnus
+from lynmag.words import Alphabet, Word, lyndon_words
 
 XY = Alphabet("xy")
+XYZ = Alphabet("xyz")
 
 
 def E(size, modulus, i, j, v=1):
@@ -95,7 +99,39 @@ class TestMatrixArithmetic:
         assert (a.inverse() * a.inverse() * a * a).is_identity()
 
 
+def rho_reference(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
+    """rho read off the Magnus series: entry (i, j) is the coefficient of w_i...w_{j-1}."""
+    f, u, size = magnus(g, modulus, len(w)).coeffs, w.indices, len(w) + 1
+    pairs = [(i, j) for i in range(1, size) for j in range(i + 1, size + 1)]
+    entries = {(i, j): f.get(u[i - 1 : j - 1], 0) for i, j in pairs}
+    return UnipotentMatrix.from_entries(size, modulus, entries)
+
+
+group_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-40, 40)), max_size=8).map(
+    lambda syllables: GroupWord(XYZ, tuple(syllables))
+)
+index_words = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(
+    lambda letters: Word(XYZ, tuple(letters))
+)
+
+
 class TestRho:
+    @given(group_words, index_words, st.sampled_from([2, 9, 49, 13**3, 2**61]))
+    @settings(max_examples=300, deadline=None)
+    def test_entries_are_magnus_coefficients(self, g, w, modulus):
+        assert rho(w, g, modulus) == rho_reference(w, g, modulus)
+
+    def test_never_reads_magnus(self, monkeypatch):
+        g = parse_group_word(XY, "x^-1 [x, y]^2 y^3")
+        want = {w: rho_reference(XY.word(w), g, 27) for w in ("xy", "xyx", "yxy")}
+
+        def boom(*args, **kwargs):
+            raise AssertionError("rho must not call magnus")
+
+        monkeypatch.setattr(series, "magnus", boom)
+        assert not hasattr(matgrp, "magnus")
+        assert {w: rho(XY.word(w), g, 27) for w in want} == want
+
     def test_letter_goes_to_elementary(self):
         w = XY.word("xy")
         assert rho(w, parse_group_word(XY, "x"), 9) == E(3, 9, 1, 2)
@@ -141,6 +177,40 @@ def _random_group_word(rng, max_letters):
     )
 
 
+class TestHomomorphismCheck:
+    """homomorphism-properties tests rho against magnus, not only against itself."""
+
+    def check(self, monkeypatch, fake_rho):
+        monkeypatch.setattr(verify, "PAIR_COUNT", 50)
+        monkeypatch.setattr(verify, "rho", fake_rho)
+        return verify.run_check("homomorphism-properties")
+
+    def test_passes_with_rho(self, monkeypatch):
+        report = self.check(monkeypatch, rho)
+        assert report["passed"]
+        assert report["details"] == {"magnus_pairs": 50, "rho_pairs": 50}
+
+    def test_one_wrong_entry_fails(self, monkeypatch):
+        def wrong(w, g, modulus):
+            m = rho(w, g, modulus)
+            return UnipotentMatrix(m.size, modulus, (m.data[0] + 1,) + m.data[1:])
+
+        report = self.check(monkeypatch, wrong)
+        assert not report["passed"]
+        assert any(f.startswith("rho vs magnus: w=") for f in report["details"]["failures"])
+
+    def test_conjugated_rho_fails_only_against_magnus(self, monkeypatch):
+        # D^-1 rho D is still a homomorphism, so only the magnus comparison sees it.
+        def conjugated(w, g, modulus):
+            d = E(len(w) + 1, modulus, 1, 2)
+            return d.inverse() * rho(w, g, modulus) * d
+
+        report = self.check(monkeypatch, conjugated)
+        failures = report["details"]["failures"]
+        assert not report["passed"] and failures
+        assert all(f.startswith("rho vs magnus: w=") for f in failures)
+
+
 class TestIota:
     def test_pinned_values(self):
         for p, n, s in [(2, 3, 1), (3, 3, 2), (5, 4, 2)]:
@@ -180,7 +250,9 @@ class TestPairingBatches:
         for letter, name in enumerate("xy"):
             g = parse_group_word(XY, name)
             rows = letter_rows(words, letter, 9)
-            assert [tuple(r) for r in rows.tolist()] == [rho(w, g, 9).data for w in words]
+            assert [tuple(r) for r in rows.tolist()] == [
+                rho_reference(w, g, 9).data for w in words
+            ]
 
     @pytest.mark.parametrize("block", [4096, 5])
     def test_tau_power_rows_are_rho_of_powers(self, block, monkeypatch):
@@ -194,7 +266,9 @@ class TestPairingBatches:
             assert len({exponents[i] for i in positions}) == 1
             for i, rows in zip(positions, batch):
                 g = tau(ws[i]) ** exponents[i]
-                assert [tuple(r) for r in rows.tolist()] == [rho(v, g, 27).data for v in words]
+                assert [tuple(r) for r in rows.tolist()] == [
+                    rho_reference(v, g, 27).data for v in words
+                ]
             seen += positions
         assert sorted(seen) == list(range(len(ws)))
 
@@ -396,6 +470,5 @@ class TestAgainstScalarOracle:
 class TestMatrixJson:
     def test_roundtrip(self):
         a = UnipotentMatrix.from_entries(4, 8, {(1, 2): 3, (1, 4): 5})
-        data = a.to_json()
-        assert data == {"size": 4, "modulus": 8, "entries": [[1, 2, 3], [1, 4, 5]]}
-        assert UnipotentMatrix.from_json(data) == a
+        # Only nonzero strictly-upper entries, 1-based, row-major.
+        assert a.to_json() == {"size": 4, "modulus": 8, "entries": [[1, 2, 3], [1, 4, 5]]}

@@ -378,18 +378,32 @@ class TestCommutatorCoeffCheck:
 
 class TestSerialization:
     def test_series_json_roundtrip(self):
-        f = magnus(gw("[x,y]"), 9, 3)
-        data = f.to_json()
-        assert data["modulus"] == 9 and data["degree"] == 3
-        words = [t["word"] for t in data["terms"]]
-        assert words == sorted(words, key=lambda s: (len(s), s))
-        assert TruncatedSeries.from_json(XY, data) == f
+        # Residues in 0..modulus-1, terms in preceq order.
+        assert magnus(gw("[x,y]"), 9, 3).to_json() == {
+            "modulus": 9,
+            "degree": 3,
+            "terms": [
+                {"word": "", "coeff": 1},
+                {"word": "xy", "coeff": 1},
+                {"word": "yx", "coeff": 8},
+                {"word": "xxy", "coeff": 8},
+                {"word": "xyx", "coeff": 1},
+                {"word": "yxy", "coeff": 8},
+                {"word": "yyx", "coeff": 1},
+            ],
+        }
 
     def test_untruncated_json_roundtrip(self):
-        q = p_poly(XY.word("xxy"))
-        data = q.to_json()
-        assert data["modulus"] is None and data["degree"] is None
-        assert TruncatedSeries.from_json(XY, data) == q
+        # Exact coefficients keep their sign; no modulus, no degree.
+        assert p_poly(XY.word("xxy")).to_json() == {
+            "modulus": None,
+            "degree": None,
+            "terms": [
+                {"word": "xxy", "coeff": 1},
+                {"word": "xyx", "coeff": -2},
+                {"word": "yxx", "coeff": 1},
+            ],
+        }
 
     def test_str_formats(self):
         assert str(ts(XY, None, 2, {"": 1, "xy": 1, "yx": -1})) == "1 + xy - yx"

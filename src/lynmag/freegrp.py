@@ -8,19 +8,23 @@ elements always compare equal.
 The map ``tau`` sends a Lyndon word to an iterated commutator through the
 standard factorization; together with p-th power maps these produce the
 canonical generating family of each layer of the lower p-central series
-(see ``gr_generators``).  ``tau_images`` evaluates the same recursion in
+(see ``gr_generators``).  ``tau_plan`` lays out that recursion once: the
+closure of a set of Lyndon words under standard factorization, shortest
+first, with the last use of each factor.  ``tau_images`` evaluates it in
 any target group given the images of the letters, so a caller that only
-needs the image of tau(w), such as a Magnus series or a unipotent
-matrix, never builds the group word.  ``syllable_images`` and ``power``
-evaluate any group word: ``magnus`` on letter series, ``rho`` on letter
-matrices, and ``homomorphism-properties`` checks the one against the other.
+needs the image of tau(w), such as a Magnus series, never builds the
+group word; ``matgrp.tau_power_rows`` walks the same plan one word
+length at a time on stacks of matrices.  ``syllable_images`` and
+``power`` evaluate any group word: ``magnus`` on letter series, ``rho``
+on letter matrices, and ``homomorphism-properties`` checks the one
+against the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .words import Alphabet, Word, is_lyndon, lyndon_words, standard_factorization
 
@@ -139,6 +143,39 @@ def commutator(g: GroupWord, h: GroupWord) -> GroupWord:
     return g.inverse() * h.inverse() * g * h
 
 
+class TauStep(NamedTuple):
+    """One Lyndon word of a ``tau_plan``."""
+
+    word: Word
+    factors: Optional[tuple[Word, Word]]  # standard factorization; None for a letter
+    last_use: int  # length of the longest word with this one as a factor; 0 if none
+
+
+def tau_plan(words: Iterable[Word]) -> list[TauStep]:
+    """The closure of Lyndon words under standard factorization.
+
+    Each word of the closure appears once, shortest first (then
+    alphabetically), so both factors of a word come before it.  A word
+    with a nonzero ``last_use`` is a factor of a longer word: only those
+    need their inverse, and only until the words of that length are formed.
+    """
+    factors: dict[Word, Optional[tuple[Word, Word]]] = {}
+
+    def visit(u: Word) -> None:
+        if u not in factors:
+            factors[u] = standard_factorization(u) if len(u) > 1 else None
+            for f in factors[u] or ():
+                visit(f)
+
+    for w in words:
+        if not is_lyndon(w):
+            raise ValueError(f"{w!r} is not a Lyndon word")
+        visit(w)
+    order = sorted(factors, key=lambda u: (len(u), u.indices))
+    last_use = {f: len(u) for u in order for f in factors[u] or ()}
+    return [TauStep(u, factors[u], last_use.get(u, 0)) for u in order]
+
+
 def tau_images(
     words: Iterable[Word],
     letter: Callable[[int], T],
@@ -149,12 +186,13 @@ def tau_images(
 
     ``letter`` maps a letter index to its image.  A single letter maps
     to that image; a longer word splits through its standard
-    factorization w = w'w'' and maps to [tau(w'), tau(w'')].  The
-    factors are Lyndon words themselves, and each one's (image,
-    inverse) pair is computed once per call: inv([a, b]) = [b, a], so
-    only letters are ever inverted.  Images are yielded in the order of
-    ``words``.
+    factorization w = w'w'' (``tau_plan``) and maps to [tau(w'), tau(w'')].
+    Each factor's (image, inverse) pair is computed once per call:
+    inv([a, b]) = [b, a], so only letters are ever inverted.  Images are
+    yielded in the order of ``words``.
     """
+    words = list(words)
+    factors = {step.word: step.factors for step in tau_plan(words)}
     pairs: dict[Word, tuple[T, T]] = {}
 
     def bracket(a: T, a_inv: T, b: T, b_inv: T) -> T:
@@ -162,23 +200,21 @@ def tau_images(
 
     def pair(u: Word) -> tuple[T, T]:
         if u not in pairs:
-            if len(u) == 1:
+            if factors[u] is None:
                 a = letter(u.indices[0])
                 pairs[u] = (a, inv(a))
             else:
-                (a, a_inv), (b, b_inv) = map(pair, standard_factorization(u))
+                (a, a_inv), (b, b_inv) = map(pair, factors[u])
                 pairs[u] = (bracket(a, a_inv, b, b_inv), bracket(b, b_inv, a, a_inv))
         return pairs[u]
 
     for w in words:
-        if not is_lyndon(w):
-            raise ValueError(f"{w!r} is not a Lyndon word")
         if w in pairs:
             yield pairs[w][0]
-        elif len(w) == 1:
+        elif factors[w] is None:
             yield letter(w.indices[0])
         else:
-            (a, a_inv), (b, b_inv) = map(pair, standard_factorization(w))
+            (a, a_inv), (b, b_inv) = map(pair, factors[w])
             yield bracket(a, a_inv, b, b_inv)
 
 

@@ -8,13 +8,15 @@ hashable; ``rho``, ``iota`` and the verification checks use these.
 The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
 instead works on whole blocks of matrices: each matrix is one row of an
 (N, E) array, E = size*(size-1)/2, and a private kernel that runs no
-free-group code forms row-wise products, inverses and powers.  Entries
-are int64 when every reduced product of two residues fits, and exact
-Python ints otherwise.  At most ``BLOCK`` products are formed per kernel
-call, which bounds memory.  The matrix route of the duality pairing runs
-on the same kernels: ``tau_power_rows`` evaluates tau(w) on the batch of
-letter images ``letter_rows`` of many words at once, and ``iota_rows``
-reads the central coordinate of a whole batch.
+free-group code forms row-wise products, inverses and powers.  Powers
+use the binomial series of I + N, so any exponent costs at most size - 2
+products.  Entries are int64 when every reduced product of two residues
+fits, and exact Python ints otherwise.  At most ``BLOCK`` products are
+formed per kernel call, which bounds memory.  The matrix route of the
+duality pairing runs on the same kernels: ``tau_power_rows`` walks the
+``tau_plan`` of many Lyndon words one word length at a time, on the
+letter images ``letter_rows`` of many words w' at once, and
+``iota_rows`` reads the central coordinate of a whole batch.
 
 ``rho`` builds the unipotent representation attached to a word from
 letter matrices; the (i, j) entry of the image of g is the Magnus
@@ -24,13 +26,15 @@ the distinguished central coordinate used by the duality pairing.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache, reduce
+from itertools import groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .freegrp import GroupWord, power, syllable_images, tau_images
+from .freegrp import GroupWord, TauStep, power, syllable_images, tau_plan
 from .series import is_prime, prime_power
 from .words import Word
 
@@ -299,14 +303,23 @@ def _inverse_rows(a: np.ndarray, size: int, modulus: int) -> np.ndarray:
 
 
 def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
-    """Row-wise k-th powers, k >= 0, by binary powering."""
-    result = np.zeros_like(a)
-    while k:
-        if k & 1:
-            result = _mul_rows(result, a, size, modulus)
-        k >>= 1
-        if k:
-            a = _mul_rows(a, a, size, modulus)
+    """Row-wise k-th powers, k >= 0, by the binomial series.
+
+    A row is X = I + N with N strictly upper triangular, so N^size = 0
+    and X^k = I + sum over 1 <= j < size of C(k, j) N^j.  That takes at
+    most size - 2 products for any k; each N^j comes from one
+    ``_mul_rows`` call, as (I + A)(I + B) = I + A + B + AB.
+    """
+    result = a * (k % modulus)  # the j = 1 term; zero when k = 0
+    result %= modulus
+    term = a  # N^j
+    for j in range(2, min(k, size - 1) + 1):
+        term = _mul_rows(term, a, size, modulus) - term - a
+        term %= modulus
+        step = term * (math.comb(k, j) % modulus)
+        step %= modulus
+        result += step
+        result %= modulus
     return result
 
 
@@ -346,31 +359,69 @@ def tau_power_rows(
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """rho(w', tau(w)**k) for each Lyndon w in ws and each w' in words.
 
-    ``words`` share one length s and ``exponents`` gives each w its k.
-    tau(w) is evaluated on the letter images of ``letter_rows``, never
-    expanded into a group word, and one ``_pow_rows`` call powers a
-    whole stack of w with equal k.  Yields (positions in ws, batch of
-    shape (G, len(words), E)), at most about ``BLOCK`` matrices at a time.
+    ``words`` share one length s and ``exponents`` gives each w its k;
+    ws may repeat words and mix lengths, in any order.  tau(w) is
+    evaluated on the letter images of ``letter_rows``, never expanded
+    into a group word.  The ``tau_plan`` of ws is walked one word length
+    at a time, in chunks of at most ``BLOCK`` matrices (one word when its
+    batch alone is larger): six ``_mul_rows`` calls form [a, b] for every
+    word of a chunk and [b, a] for those that are factors of longer
+    words.  A factor's (image, inverse) pair is dropped after its last
+    use.  Each chunk is powered as soon as it is formed, one
+    ``_pow_rows`` call per exponent.  Yields (positions in ws, batch of
+    shape (G, len(words), E)); every position comes exactly once.
     """
     size = len(words[0]) + 1
-    order = sorted(range(len(ws)), key=lambda i: exponents[i])
-    images = tau_images(
-        [ws[i] for i in order],
-        lambda x: letter_rows(words, x, modulus),
-        lambda a, b: _mul_rows(a, b, size, modulus),
-        lambda a: _inverse_rows(a, size, modulus),
-    )
     chunk = max(1, BLOCK // len(words))
-    positions: list[int] = []
-    stack: list[np.ndarray] = []
-    for i, image in zip(order, images):
-        if stack and (len(stack) == chunk or exponents[i] != exponents[positions[0]]):
-            yield positions, _pow_rows(np.stack(stack), exponents[positions[0]], size, modulus)
-            positions, stack = [], []
-        positions.append(i)
-        stack.append(image)
-    if stack:
-        yield positions, _pow_rows(np.stack(stack), exponents[positions[0]], size, modulus)
+    positions: dict[Word, list[int]] = {}
+    for i, w in enumerate(ws):
+        positions.setdefault(w, []).append(i)
+
+    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _mul_rows(a, b, size, modulus)
+
+    def bracket(steps: list[TauStep], u: int) -> np.ndarray:
+        # [a, b] = ((a^-1 b^-1) a) b with a the factor u of each step; each
+        # stack is gathered just before its product, so at most three live.
+        def gather(side: int, part: int) -> np.ndarray:
+            return np.stack([pairs[step.factors[side]][part] for step in steps])
+
+        return mul(mul(mul(gather(u, 1), gather(1 - u, 1)), gather(u, 0)), gather(1 - u, 0))
+
+    pairs: dict[Word, tuple[np.ndarray, np.ndarray]] = {}
+    expiring: dict[int, list[Word]] = {}  # last use -> factors to drop after it
+    for length, level in groupby(tau_plan(ws), key=lambda step: len(step.word)):
+        level = sorted(level, key=lambda step: not step.last_use)  # factors first
+        for start in range(0, len(level), chunk):
+            steps = level[start : start + chunk]
+            if length == 1:
+                image = np.stack(
+                    [letter_rows(words, step.word.indices[0], modulus) for step in steps]
+                )
+            else:
+                image = bracket(steps, 0)
+            factors = [step for step in steps if step.last_use]
+            if factors:
+                inverse = (
+                    _inverse_rows(image[: len(factors)], size, modulus)
+                    if length == 1
+                    else bracket(factors, 1)
+                )
+                for r, step in enumerate(factors):
+                    pairs[step.word] = (image[r], inverse[r])
+                    expiring.setdefault(step.last_use, []).append(step.word)
+            targets: dict[int, list[tuple[int, int]]] = {}
+            for r, step in enumerate(steps):
+                for i in positions.get(step.word, ()):
+                    targets.setdefault(exponents[i], []).append((r, i))
+            for k, hits in targets.items():
+                for piece in range(0, len(hits), chunk):
+                    rows, at = zip(*hits[piece : piece + chunk])
+                    # no copy when each row of the chunk is powered once, in order
+                    base = image if rows == tuple(range(len(image))) else image[list(rows)]
+                    yield list(at), _pow_rows(base, k, size, modulus)
+        for u in expiring.pop(length, ()):
+            del pairs[u]
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:

@@ -3,17 +3,20 @@
 ``pairing_rows(ws, words, n, p)`` pairs each generator tau(w)^(p^(n-|w|))
 of the n-th lower p-central layer, w Lyndon, against the coefficient
 functional of each word w'.  Both routes evaluate the same tau
-recursion (``freegrp.tau_images``) homomorphically in a different
-target group; neither expands a generator into a group word and
-neither reads ``magnus`` or ``rho``:
+recursion (``freegrp.tau_plan``) homomorphically in a different target
+group, and both raise unipotent elements by the binomial series, so
+p^(n-|w|) costs at most n products; neither expands a generator into a
+group word and neither reads ``magnus`` or ``rho``:
 
-- series route: tau(w) on the letter series 1 + x over Z/p^n, raised to
-  p^(n-|w|) once per row; each coefficient of w' is read mod p^(n-s'+1),
+- series route: tau(w) on the letter series 1 + x over Z/p^n
+  (``freegrp.tau_images``), raised to p^(n-|w|) once per row by
+  ``series_pow``; each coefficient of w' is read mod p^(n-s'+1),
   divided by p^(n-s') and taken mod p;
 - matrix route: tau(w) on the letter matrices I + sum E_{i,i+1} of every
-  w' of one length s', a whole batch at a time on the row kernels of
-  ``matgrp``; the power must land in the central subgroup read by
-  ``iota``.
+  w' of one length s', on the row kernels of ``matgrp``
+  (``tau_power_rows``): all words w of one length form one stack, so a
+  whole level of the recursion costs a handful of kernel calls; the
+  power must land in the central subgroup read by ``iota``.
 
 A divisibility failure, a non-central matrix or a disagreement between
 the routes is a :class:`ConsistencyError` naming the pair, never a

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Optional
 
-from .freegrp import GroupWord, commutator, power, syllable_images
+from .freegrp import GroupWord, commutator, syllable_images
 from .words import Alphabet, Word, is_lyndon, standard_factorization
 
 WordKey = tuple[int, ...]
@@ -229,10 +229,27 @@ class TruncatedSeries:
 
 
 def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """f^k by binary exponentiation; k < 0 inverts first."""
+    """f^k by the binomial series; k < 0 inverts first.
+
+    With c the constant term and g = f - c, f^k is the sum over j <= k
+    of C(k, j) c^(k-j) g^j.  Every term of g^j has degree at least j,
+    so a truncated f takes at most ``degree`` products for any k.
+    """
     if k < 0:
         f, k = series_invert(f), -k
-    return power(f, k, operator.mul, TruncatedSeries.one(f.alphabet, f.modulus, f.degree))
+    m = f.modulus
+    c = f.coeffs.get((), 0)
+    g = TruncatedSeries(f.alphabet, m, f.degree, {u: v for u, v in f.coeffs.items() if u})
+    out = {(): pow(c, k, m)}
+    g_j = TruncatedSeries.one(f.alphabet, m, f.degree)
+    for j in range(1, k + 1 if f.degree is None else min(k, f.degree) + 1):
+        g_j = g_j * g
+        if not g_j.coeffs:
+            break
+        scale = math.comb(k, j) * pow(c, k - j, m)
+        for u, v in g_j.coeffs.items():
+            out[u] = out.get(u, 0) + scale * v
+    return TruncatedSeries(f.alphabet, m, f.degree, out)
 
 
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:

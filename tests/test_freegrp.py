@@ -17,10 +17,11 @@ from lynmag.freegrp import (
     syllable_images,
     tau,
     tau_images,
+    tau_plan,
 )
 from lynmag.matgrp import UnipotentMatrix
 from lynmag.series import TruncatedSeries, magnus, series_invert, series_pow
-from lynmag.words import Alphabet, lyndon_words
+from lynmag.words import Alphabet, lyndon_words, standard_factorization
 
 XY = Alphabet("xy")
 XYZ = Alphabet("xyz")
@@ -100,7 +101,9 @@ class TestArithmetic:
 
 
 class TestPower:
-    """The one binary powering, behind every ``**`` and ``series_pow``."""
+    """``power``, the binary powering behind ``GroupWord`` and
+    ``UnipotentMatrix`` ``**`` and syllable images.  ``series_pow`` takes
+    the binomial series instead and must give the same values."""
 
     def cases(self):
         rng = random.Random(3)
@@ -164,6 +167,36 @@ class TestSyllableImages:
         assert sorted(inverted) == [1, 2]
         # x^3, y^-2, x^-1 and y^5 are each powered once: 3 + 2 + 1 + 4 products.
         assert len(products) == 10
+
+
+class TestTauPlan:
+    def test_closure_shortest_first_factors_before_words(self):
+        ws = [XYZ.word(t) for t in ("xyzz", "y", "xyy", "xyzz", "xz")]
+        plan = tau_plan(ws)
+        order = [step.word for step in plan]
+        assert len(set(order)) == len(order)
+        assert [len(u) for u in order] == sorted(len(u) for u in order)
+        assert set(ws) <= set(order)
+        for step in plan:
+            if len(step.word) == 1:
+                assert step.factors is None
+            else:
+                assert step.factors == standard_factorization(step.word)
+                assert all(order.index(f) < order.index(step.word) for f in step.factors)
+        assert {str(u) for u in order} == {"x", "y", "z", "xy", "xz", "yz", "xyy", "yzz", "xyzz"}
+
+    def test_last_use_is_longest_word_using_the_factor(self):
+        plan = tau_plan(lyndon_words(XY, 5))
+        users = {}
+        for step in plan:
+            for f in step.factors or ():
+                users.setdefault(f, []).append(len(step.word))
+        for step in plan:
+            assert step.last_use == max(users.get(step.word, [0]))
+
+    def test_rejects_non_lyndon(self):
+        with pytest.raises(ValueError, match="not a Lyndon word"):
+            tau_plan([XY.word("x"), XY.word("yx")])
 
 
 class TestTauImages:

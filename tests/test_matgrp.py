@@ -21,6 +21,7 @@ from lynmag.matgrp import (
     rho,
     tau_power_rows,
 )
+from lynmag.pairing import pairing_matrix
 from lynmag.series import magnus
 from lynmag.words import Alphabet, Word, lyndon_words
 
@@ -272,6 +273,37 @@ class TestPairingBatches:
             seen += positions
         assert sorted(seen) == list(range(len(ws)))
 
+    @pytest.mark.parametrize("block", [1, 5, matgrp.BLOCK])
+    def test_unsorted_repeated_mixed_lengths(self, block, monkeypatch):
+        monkeypatch.setattr(matgrp, "BLOCK", block)
+        names = ["xyy", "x", "xy", "y", "x", "xxy", "xy", "xyy", "y", "xy", "x"]
+        ws = [XY.word(t) for t in names]
+        # A repeated word may carry a different exponent at each position.
+        exponents = [9, 3, 1, 27, 9, 3, 1, 9, 27, 3, 3]
+        words = [XY.word(t) for t in ("xyx", "xxy")]
+        seen = []
+        for positions, batch in tau_power_rows(ws, exponents, words, 27):
+            assert batch.shape == (len(positions), len(words), 6)
+            assert len(positions) * len(words) <= max(block, len(words))
+            assert len({exponents[i] for i in positions}) == 1
+            for i, rows in zip(positions, batch):
+                g = tau(ws[i]) ** exponents[i]
+                assert [tuple(r) for r in rows.tolist()] == [
+                    rho_reference(v, g, 27).data for v in words
+                ]
+            seen += positions
+        assert sorted(seen) == list(range(len(ws)))
+
+    def test_kernel_calls_per_level_not_per_word(self, monkeypatch):
+        # Each word length s of the xyz n=5 p=7 matrix costs at most 6 calls
+        # per level of the tau recursion (3 at the top, with no factors to
+        # invert) and s - 1 per power: 5*21 + 4*(0 + 1 + 2 + 3 + 4) = 145.
+        calls = []
+        real = matgrp._mul_rows
+        monkeypatch.setattr(matgrp, "_mul_rows", lambda *args: calls.append(1) or real(*args))
+        pairing_matrix(5, 7, XYZ)
+        assert len(calls) <= 145
+
     def test_iota_rows_match_iota(self):
         rng = random.Random(4)
         n, s, modulus = 4, 2, 27
@@ -417,6 +449,46 @@ class TestBatchedKernel:
         rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1]])
         assert matgrp._unique_rows(rows).tolist() == [[0, 1], [0, 2], [1, 0]]
         assert matgrp._unique_rows(np.zeros((3, 0), dtype=np.int64)).shape == (1, 0)
+
+
+class TestBinomialPowers:
+    """``_pow_rows`` by the binomial series against scalar binary powering."""
+
+    @pytest.mark.parametrize("size", range(2, 8))
+    @pytest.mark.parametrize("modulus", [2**5, 13**3, 2**61])
+    def test_matches_scalar_power(self, size, modulus):
+        rng = random.Random(size)
+        entries = size * (size - 1) // 2
+        xs = [UnipotentMatrix(size, modulus, [rng.randrange(modulus) for _ in range(entries)])
+              for _ in range(3)]
+        a = matgrp._rows(xs, size, modulus)
+        assert a.dtype == (object if modulus == 2**61 else np.int64)
+        prime_powers = [p**e for p in (2, 3, 13) for e in range(1, 19) if p**e <= 13**5]
+        large = [rng.randrange(2**20, 2**64) for _ in range(3)]
+        for k in list(range(size + 2)) + prime_powers + large:
+            assert matgrp._pow_rows(a, k, size, modulus).tolist() == [
+                list((x**k).data) for x in xs
+            ], k
+
+    def test_stacks_of_batches(self):
+        rng = random.Random(8)
+        xs = [UnipotentMatrix(5, 7**3, [rng.randrange(7**3) for _ in range(10)])
+              for _ in range(6)]
+        a = matgrp._rows(xs, 5, 7**3).reshape(2, 3, 10)
+        got = matgrp._pow_rows(a, 7**2, 5, 7**3).reshape(6, 10)
+        assert got.tolist() == [list((x ** 7**2).data) for x in xs]
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_at_most_size_minus_two_products(self, size, monkeypatch):
+        calls = []
+        real = matgrp._mul_rows
+        monkeypatch.setattr(matgrp, "_mul_rows", lambda *args: calls.append(1) or real(*args))
+        a = np.ones((2, size * (size - 1) // 2), dtype=np.int64)
+        for k in list(range(10)) + [13**4, 13**5, 2**40 + 1, 3**50]:
+            calls.clear()
+            matgrp._pow_rows(a, k, size, 13**3)
+            assert len(calls) <= max(size - 2, 0)
+            assert len(calls) == max(min(k, size - 1) - 1, 0)
 
 
 def reference_closure(gens, identity):

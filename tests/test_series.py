@@ -1,11 +1,12 @@
 """Truncated series arithmetic, the Magnus map, eps, Koch tests, P_w."""
 
+import operator
 import random
 
 import pytest
 
 import lynmag.series as series_mod
-from lynmag.freegrp import GroupWord, commutator, parse_group_word, tau
+from lynmag.freegrp import GroupWord, commutator, parse_group_word, power, tau
 from lynmag.series import (
     TruncatedSeries,
     balanced,
@@ -167,6 +168,71 @@ class TestInversion:
             series_invert(ts(XY, 9, 2, {"": 3, "x": 1}))
         with pytest.raises(ValueError):
             series_invert(ts(XY, None, 2, {"": 2, "x": 1}))
+
+
+def random_series(rng, alphabet, modulus, degree, constant, terms=6):
+    keys = [(), (0,), (1,), (0, 1), (1, 0), (1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1, 0)]
+    if len(alphabet) > 2:
+        keys += [(2,), (0, 2), (2, 1, 0)]
+    coeffs = {k: rng.randrange(1, 50) for k in rng.sample(keys[1:], terms)}
+    coeffs[()] = constant
+    return TruncatedSeries(alphabet, modulus, degree, coeffs)
+
+
+def reference_pow(f, k):
+    """Binary powering on the series product, inverting first for k < 0."""
+    if k < 0:
+        f, k = series_invert(f), -k
+    return power(f, k, operator.mul, TruncatedSeries.one(f.alphabet, f.modulus, f.degree))
+
+
+class TestSeriesPow:
+    """``series_pow`` by the binomial series against ``freegrp.power``."""
+
+    EXPONENTS = list(range(10)) + [13, 2**10, 13**2, 13**3, 13**4]
+
+    @pytest.mark.parametrize("modulus,constant", [
+        (27, 1), (27, 5), (27, 26), (27, 3), (27, 0), (13**3, 7), (2**6, 1), (2**6, 2),
+    ])
+    def test_matches_binary_powering(self, modulus, constant):
+        rng = random.Random(modulus + constant)
+        for alphabet, degree in ((XY, 4), (XYZ, 3)):
+            f = random_series(rng, alphabet, modulus, degree, constant)
+            for k in self.EXPONENTS:
+                assert series_pow(f, k) == reference_pow(f, k), k
+
+    @pytest.mark.parametrize("modulus,constant", [(27, 1), (27, 5), (13**3, 7), (None, -1)])
+    def test_negative_exponents(self, modulus, constant):
+        f = random_series(random.Random(4), XY, modulus, 4, constant)
+        for k in (-1, -2, -3, -13, -(13**2), -(13**4)):
+            assert series_pow(f, k) == reference_pow(f, k), k
+
+    @pytest.mark.parametrize("constant", [1, -1, 2, -3, 0])
+    def test_exact_coefficients(self, constant):
+        f = random_series(random.Random(6), XY, None, 4, constant)
+        top = 13**4 if constant in (1, -1) else 13**2
+        for k in list(range(10)) + [13, top]:
+            assert series_pow(f, k) == reference_pow(f, k), k
+
+    @pytest.mark.parametrize("modulus", [None, 27])
+    @pytest.mark.parametrize("constant", [1, 2, 0])
+    def test_untruncated(self, modulus, constant):
+        f = random_series(random.Random(7), XY, modulus, None, constant, terms=3)
+        for k in range(7):
+            assert series_pow(f, k) == reference_pow(f, k), k
+
+    def test_at_most_degree_products(self, monkeypatch):
+        calls = []
+        real = TruncatedSeries.__mul__
+        monkeypatch.setattr(
+            TruncatedSeries, "__mul__", lambda a, b: calls.append(1) or real(a, b)
+        )
+        for degree in range(6):
+            f = random_series(random.Random(degree), XY, 13**4, degree, 3)
+            for k in (0, 1, 2, 13**4, 2**40 + 1):
+                calls.clear()
+                series_pow(f, k)
+                assert len(calls) <= degree
 
 
 class TestMagnus:

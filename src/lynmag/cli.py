@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -185,8 +186,8 @@ def cmd_pairing_matrix(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-# Largest truncation degree of a Magnus image the CLI computes: inverting
-# a letter costs about degree^3 coefficient operations.
+# Largest truncation degree of a Magnus image the CLI computes; it bounds
+# the length of every printed word.
 MAX_DEGREE = 256
 # Most terms one syllable product of a CLI Magnus image may form; with
 # several inverse syllables the support grows like degree^k.
@@ -364,7 +365,9 @@ def _add_flags(sub: argparse.ArgumentParser, *reads: str) -> None:
             sub.add_argument(f"--{name}", **kwargs)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lynmag",
         description="Lyndon words, Magnus expansions, duality pairings, "

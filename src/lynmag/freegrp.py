@@ -15,9 +15,9 @@ any target group given the images of the letters, so a caller that only
 needs the image of tau(w), such as a Magnus series, never builds the
 group word; ``matgrp.tau_power_rows`` walks the same plan one word
 length at a time on stacks of matrices.  ``syllable_images`` and
-``power`` evaluate any group word: ``magnus`` on letter series, ``rho``
-on letter matrices, and ``homomorphism-properties`` checks the one
-against the other.
+``power`` evaluate any group word in a target group: ``rho`` folds them
+on letter matrices, and ``homomorphism-properties`` checks the result
+against the closed-form binomial series of ``magnus``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ MAX_SYLLABLES = 65_536
 MAX_NESTING = 100
 
 
-def _reduce(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    out: list[Syllable] = []
+def _push(out: list[Syllable], syllables: Iterable[Syllable]) -> list[Syllable]:
+    """Append syllables to the reduced stack out, cancelling as they meet."""
     for letter, exp in syllables:
         if exp == 0:
             continue
@@ -48,7 +48,7 @@ def _reduce(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
                 out.append((letter, merged))
         else:
             out.append((letter, exp))
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,7 @@ class GroupWord:
 
     def __post_init__(self):
         m = len(self.alphabet)
-        reduced = _reduce(self.syllables)
-        if reduced != self.syllables:
-            object.__setattr__(self, "syllables", reduced)
+        object.__setattr__(self, "syllables", tuple(_push([], self.syllables)))
         if any(not (0 <= l < m) for l, _ in self.syllables):
             raise ValueError("letter index out of range")
 
@@ -289,11 +287,10 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
 
     def parse_sequence(stop: set[str]) -> GroupWord:
         nonlocal pos
-        result = GroupWord.identity(alphabet)
+        syllables: list[Syllable] = []
         while pos < len(tokens) and tokens[pos] not in stop:
-            result = result * parse_factor()
-            capped(len(result.syllables))
-        return result
+            capped(len(_push(syllables, parse_factor().syllables)))
+        return GroupWord(alphabet, tuple(syllables))
 
     def parse_factor() -> GroupWord:
         nonlocal pos

@@ -9,23 +9,22 @@ live either in Z/p^k (``modulus`` a prime power) or in Z itself
 statements, since no single residue can.
 
 ``magnus`` sends a free-group word to its image under the ring map
-x -> 1 + x, x^-1 -> 1 - x + x^2 - ...; ``matgrp.rho`` maps it to letter
-matrices instead, and ``homomorphism-properties`` checks its entries
-against these coefficients.  The coefficient functionals ``eps`` detect
-membership in the lower central and lower p-central series
-(``lower_central_test``, ``koch_test``).
+x -> 1 + x, taking each syllable x^e straight to the binomial series
+(1 + x)^e; ``matgrp.rho`` multiplies and powers letter matrices instead,
+and ``homomorphism-properties`` checks its entries against these
+coefficients.  The coefficient functionals ``eps`` detect membership in
+the lower central and lower p-central series (``lower_central_test``,
+``koch_test``).
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import Counter
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
 from typing import Mapping, Optional
 
-from .freegrp import GroupWord, commutator, syllable_images
+from .freegrp import GroupWord, Syllable, commutator
 from .words import Alphabet, Word, is_lyndon, standard_factorization
 
 WordKey = tuple[int, ...]
@@ -283,34 +282,37 @@ def magnus(
 ) -> TruncatedSeries:
     """Image of a free-group word under x -> 1 + x, truncated.
 
-    The product of the ``syllable_images`` of g on the letter series.
-    With ``limit`` set, a syllable product that would form more than
-    ``limit`` terms before merging raises ValueError before it is
-    formed, which bounds every partial product.  Results are immutable
-    and cached: bulk verification sweeps read many coefficients of one image.
+    A syllable x^e maps to (1 + x)^e, the sum of C(e, j) x^j over j <= degree,
+    with C(e, j) = C(e, j-1) (e-j+1) / j formed exactly and reduced only
+    afterwards, since j need not be a unit mod the modulus.  Each syllable
+    takes one sweep u -> u x^j, |u| + j <= degree, of the running product;
+    with ``limit`` set, a sweep that would form more than ``limit`` terms
+    raises ValueError before it is formed.  Results are immutable and cached.
     """
-
-    def letter(x: int) -> TruncatedSeries:
-        return TruncatedSeries(g.alphabet, modulus, degree, {(): 1, (x,): 1})
-
-    acc = one = TruncatedSeries.one(g.alphabet, modulus, degree)
-    for image in syllable_images(g, letter, operator.mul, series_invert, one):
-        if limit is not None and _pairs_below(acc, image, degree) > limit:
+    acc = TruncatedSeries.one(g.alphabet, modulus, degree).coeffs  # checks the arguments
+    binomials: dict[Syllable, list[tuple[WordKey, int]]] = {}
+    for x, e in g.syllables:
+        if (x, e) not in binomials:
+            c, terms = 1, [((), 1)]
+            for j in range(1, degree + 1):
+                c = c * (e - j + 1) // j
+                if r := c % modulus if modulus else c:
+                    terms.append(((x,) * j, r))
+            binomials[x, e] = terms
+        terms = binomials[x, e]
+        lengths = [len(v) for v, _ in terms]
+        fits = [bisect_right(lengths, degree - len(u)) for u in acc]
+        if limit is not None and sum(fits) > limit:
             raise ValueError(
                 f"a syllable product would form more than {limit} terms before merging"
             )
-        acc = acc * image
-    return acc
-
-
-def _pairs_below(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> int:
-    """The number of term pairs (u, v) of f and g with |u| + |v| <= degree.
-
-    f * g forms one product per pair, so this bounds its term count.
-    """
-    lengths = Counter(map(len, g.coeffs))
-    fits = list(accumulate(lengths[k] for k in range(degree + 1)))
-    return sum(fits[degree - len(u)] for u in f.coeffs)
+        out: dict[WordKey, int] = {}
+        for (u, cu), fit in zip(acc.items(), fits):
+            for v, cv in terms[:fit]:
+                w = u + v
+                out[w] = out.get(w, 0) + cu * cv
+        acc = {w: r for w, c in out.items() if (r := c % modulus if modulus else c)}
+    return TruncatedSeries(g.alphabet, modulus, degree, acc)
 
 
 def eps(g: GroupWord, w: Word, modulus: Optional[int]) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .freegrp import GroupWord
-from .linalg import rref_mod_p, solve_mod_p
+from .linalg import inverse_mod_p, rref_mod_p
 from .series import TruncatedSeries, WordKey, is_prime, magnus
 from .words import Alphabet, Word, lyndon_words
 
@@ -214,52 +214,47 @@ class ShuffleSpanBasis:
         return vec
 
     def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
-        """Canonical coset representative: zero at every pivot column."""
+        """Canonical coset representative: zero at every pivot column.
+
+        Each row is 1 at its own pivot and 0 at the others, so one product
+        clears every pivot.  A stack of vectors reduces row by row.
+        """
         out = np.array(vec, dtype=np.int64) % self.p
-        for row, col in enumerate(self.pivots):
-            if out[col]:
-                out = (out - out[col] * self.rows[row]) % self.p
-        return out
+        return (out - out[..., list(self.pivots)] @ self.rows) % self.p
 
     def contains(self, q: TruncatedSeries) -> bool:
         """Whether q lies in the span of shuffles, mod p."""
         return not self.reduce_vector(self.poly_vector(q)).any()
 
-    def _lyndon_system(self) -> tuple[list[Word], np.ndarray, list[int]]:
-        # Free (non-pivot) coordinates of the reduced Lyndon word images.
-        free = [c for c in range(len(self.columns)) if c not in set(self.pivots)]
+    def _lyndon_coordinates(self, vectors: np.ndarray) -> list[dict[Word, int]]:
+        # The free (non-pivot) coordinates of each reduced row of vectors,
+        # times the inverse of the square matrix of reduced Lyndon words.
+        free = sorted(set(range(len(self.columns))) - set(self.pivots))
         lyn = [w for w in lyndon_words(self.alphabet, self.degree) if len(w) == self.degree]
         if len(lyn) != self.quotient_dim:
             raise ConsistencyError(
                 f"{len(lyn)} Lyndon words vs quotient dimension {self.quotient_dim}"
             )
-        images = np.zeros((len(free), len(lyn)), dtype=np.int64)
-        for j, w in enumerate(lyn):
-            images[:, j] = self.reduce_vector(self.word_vector(w))[free]
-        return lyn, images, free
-
-    def lyndon_coordinates(self, w: Word) -> dict[Word, int]:
-        """The class of w written in the Lyndon-word basis of the quotient."""
-        return self._solve(w, *self._lyndon_system())
-
-    def _solve(
-        self, w: Word, lyn: list[Word], images: np.ndarray, free: list[int]
-    ) -> dict[Word, int]:
-        target = self.reduce_vector(self.word_vector(w))[free]
+        units = np.eye(len(self.columns), dtype=np.int64)
+        images = self.reduce_vector(units[[self._col[w.indices] for w in lyn]])[:, free]
         try:
-            coeffs = solve_mod_p(images, target, self.p)
+            inverse = inverse_mod_p(images.T, self.p)
         except ValueError as exc:
             raise ConsistencyError(
                 f"Lyndon images are not a quotient basis at degree "
                 f"{self.degree} mod {self.p}: {exc}"
             ) from exc
-        return {wl: int(c) for wl, c in zip(lyn, coeffs) if c}
+        coords = self.reduce_vector(vectors)[:, free] @ inverse.T % self.p
+        return [{wl: int(c) for wl, c in zip(lyn, row) if c} for row in coords]
+
+    def lyndon_coordinates(self, w: Word) -> dict[Word, int]:
+        """The class of w written in the Lyndon-word basis of the quotient."""
+        return self._lyndon_coordinates(self.word_vector(w)[None])[0]
 
     def lyndon_map(self) -> dict[Word, dict[Word, int]]:
         """Lyndon-basis coordinates for every word of this degree."""
-        system = self._lyndon_system()
-        words = [Word(self.alphabet, key) for key in self.columns]
-        return {w: self._solve(w, *system) for w in words}
+        coords = self._lyndon_coordinates(np.eye(len(self.columns), dtype=np.int64))
+        return {Word(self.alphabet, key): c for key, c in zip(self.columns, coords)}
 
     def to_json(self) -> dict:
         report = {

@@ -43,7 +43,9 @@ class Alphabet:
         return letter in self._index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.letters == other.letters
+        return self is other or (
+            isinstance(other, Alphabet) and self.letters == other.letters
+        )
 
     def __hash__(self) -> int:
         return hash(self.letters)

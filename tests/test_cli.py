@@ -408,3 +408,48 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["lyndon", "--format", "yaml"])
         assert info.value.code == 2
+
+
+class TestParserBuiltOnce:
+    """The cached parser answers like a freshly built one, call after call."""
+
+    SEQUENCE = [
+        ["lyndon", "--n", "3", "--format", "json"],
+        ["magnus", "x^-1 y", "--deg", "3", "--mod", "9"],
+        ["lyndon", "--n", "7"],
+        ["shuffle", "x", "y", "--infiltration"],
+        ["lyndon", "--p", "3"],
+        ["pairing-matrix", "--n", "2", "--p", "5", "--format", "csv"],
+        ["bogus"],
+        ["magnus", "x", "--coeff", "x"],
+        ["verify", "--check", "standard-factorization", "--seed", "4"],
+        ["shuffle", "--span", "--deg", "2", "--p", "5", "--format", "json"],
+        ["lyndon"],
+    ]
+
+    @staticmethod
+    def outcomes(argv_list, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=2\nbogus=1\n")
+        results = []
+        for argv in argv_list + [["lyndon", "--config", str(cfg)]]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    def test_same_as_fresh_parser(self, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        cached = self.outcomes(self.SEQUENCE, tmp_path)
+        cached_reversed = self.outcomes(self.SEQUENCE[::-1], tmp_path)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = self.outcomes(self.SEQUENCE, tmp_path)
+        assert cached == fresh
+        assert cached_reversed[:-1] == fresh[:-1][::-1]
+        codes = [code for code, _, _ in cached]
+        assert codes == [0, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0, 2]
+        assert "unknown config key(s)" in cached[-1][2] and "bogus" in cached[-1][2]

@@ -2,9 +2,11 @@
 
 import operator
 import random
+from itertools import accumulate
 
 import pytest
 
+import lynmag.freegrp as freegrp
 from lynmag.freegrp import (
     MAX_NESTING,
     MAX_SYLLABLES,
@@ -335,3 +337,140 @@ class TestInputBounds:
         assert gw(trivial).is_identity()
         with pytest.raises(ValueError, match="nests brackets"):
             gw("[" + trivial + ",x]")
+
+
+def parse_reference(alphabet: Alphabet, text: str) -> GroupWord:
+    """``parse_group_word`` forming one product per factor, capped after each."""
+    spaced = text
+    for ch in "[],":
+        spaced = spaced.replace(ch, f" {ch} ")
+    tokens = spaced.split()
+    shown = repr(text if len(text) <= 60 else text[:57] + "...")
+    if max(accumulate((t == "[") - (t == "]") for t in tokens), default=0) > freegrp.MAX_NESTING:
+        raise ValueError(f"group word {shown} nests brackets deeper than {freegrp.MAX_NESTING}")
+
+    def capped(n):
+        if n > freegrp.MAX_SYLLABLES:
+            raise ValueError(
+                f"group word {shown} expands to more than {freegrp.MAX_SYLLABLES} syllables"
+            )
+
+    if tokens == ["1"]:
+        return GroupWord.identity(alphabet)
+    pos = 0
+
+    def sequence(stop):
+        nonlocal pos
+        result = GroupWord.identity(alphabet)
+        while pos < len(tokens) and tokens[pos] not in stop:
+            result = result * factor()
+            capped(len(result.syllables))
+        return result
+
+    def expect(token, message):
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos] != token:
+            raise ValueError(message)
+        pos += 1
+
+    def factor():
+        nonlocal pos
+        token = tokens[pos]
+        if token in {"]", ","}:
+            raise ValueError(f"unexpected {token!r}")
+        pos += 1
+        if token == "[":
+            left = sequence({","})
+            expect(",", "commutator bracket needs a comma")
+            right = sequence({"]"})
+            expect("]", "unclosed commutator bracket")
+            base, k = commutator(left, right), 1
+            if pos < len(tokens) and tokens[pos].startswith("^"):
+                pos += 1
+                try:
+                    k = int(tokens[pos - 1][1:])
+                except ValueError:
+                    raise ValueError(f"bad exponent {tokens[pos - 1][1:]!r}") from None
+            if abs(k) > 1:
+                one = len(base.syllables)
+                capped(one + (abs(k) - 1) * (len((base * base).syllables) - one))
+            return base**k
+        name, caret, exp = token.partition("^")
+        if name == "1" and not caret:
+            return GroupWord.identity(alphabet)
+        if name not in alphabet:
+            raise ValueError(f"unknown letter {name!r}")
+        try:
+            return GroupWord.generator(alphabet, name, int(exp) if caret else 1)
+        except ValueError:
+            raise ValueError(f"bad exponent in {token!r}") from None
+
+    result = sequence(set())
+    if pos != len(tokens):
+        raise ValueError("trailing tokens in group word")
+    return result
+
+
+def random_text(rng: random.Random) -> str:
+    tokens = []
+    for _ in range(rng.randint(0, 24)):
+        r = rng.random()
+        if r < 0.6:
+            letter = rng.choice("xyzq1")
+            e = rng.choice(["", "", f"^{rng.randint(-3, 3)}", f"^{rng.randint(-50, 50)}", "^a"])
+            tokens.append(letter + e)
+        elif r < 0.75:
+            tokens.append("[")
+        elif r < 0.85:
+            tokens.append(",")
+        else:
+            tokens.append(rng.choice(["]", "]", f"]^{rng.randint(-4, 4)}", "]^b"]))
+    return " ".join(tokens)
+
+
+class TestParseSequence:
+    """Each sequence is one reduced stack; caps see the same lengths as before."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(XYZ, text).syllables
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("cap", [6, 12, MAX_SYLLABLES])
+    def test_random_texts_match_reference(self, cap, monkeypatch):
+        monkeypatch.setattr(freegrp, "MAX_SYLLABLES", cap)
+        monkeypatch.setattr(freegrp, "MAX_NESTING", 3)
+        rng = random.Random(cap)
+        outcomes = set()
+        for _ in range(3000):
+            text = random_text(rng)
+            got = self.outcome(parse_group_word, text)
+            assert got == self.outcome(parse_reference, text), text
+            outcomes.add(type(got) if not isinstance(got, str) else got.split()[0])
+        assert tuple in outcomes and "group" in outcomes  # words, and cap errors
+
+    def test_cap_is_checked_after_each_factor(self):
+        # The reduced prefix is checked, not only the final word.
+        body = "x y " * (MAX_SYLLABLES // 2)
+        assert len(gw(body).syllables) == MAX_SYLLABLES
+        assert len(gw(body + "y^-1 x^-1").syllables) == MAX_SYLLABLES - 2
+        with pytest.raises(ValueError, match=f"more than {MAX_SYLLABLES} syllables"):
+            gw(body + "x x^-1")
+
+    def test_subwords_capped_inside_brackets(self, monkeypatch):
+        # Both left sides reduce to x y; only the second passes through
+        # 9 syllables on the way.
+        monkeypatch.setattr(freegrp, "MAX_SYLLABLES", 8)
+        back = " y^-1 x^-1" * 3
+        ok = f"[x y x y x y x y{back}, z]"
+        assert self.outcome(parse_group_word, ok) == self.outcome(parse_reference, ok)
+        assert gw(ok, XYZ) == commutator(gw("x y", XYZ), gw("z", XYZ))
+        with pytest.raises(ValueError, match="more than 8 syllables"):
+            gw(f"[x y x y x y x y x x^-1{back}, z]", XYZ)
+
+    def test_nesting_cap_matches_reference(self):
+        for depth in (MAX_NESTING, MAX_NESTING + 1):
+            text = "[" * depth + "x,y]" + ",x]" * (depth - 1)
+            assert self.outcome(parse_group_word, text) == self.outcome(parse_reference, text)

@@ -1,12 +1,22 @@
 """Truncated series arithmetic, the Magnus map, eps, Koch tests, P_w."""
 
+import math
 import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lynmag.freegrp as freegrp
 import lynmag.series as series_mod
-from lynmag.freegrp import GroupWord, commutator, parse_group_word, power, tau
+from lynmag.freegrp import (
+    GroupWord,
+    commutator,
+    parse_group_word,
+    power,
+    syllable_images,
+    tau,
+)
 from lynmag.series import (
     TruncatedSeries,
     balanced,
@@ -267,14 +277,18 @@ class TestMagnus:
                 rhs = magnus(g, modulus, 4) * magnus(h, modulus, 4)
                 assert lhs == rhs
 
-    def test_letters_inverted_once_per_call(self, monkeypatch):
+    def test_never_inverts_or_powers(self, monkeypatch):
+        # Each syllable is a closed-form binomial series: no series
+        # inversion and no binary powering.
         magnus.cache_clear()
-        calls = []
-        real = series_mod.series_invert
-        monkeypatch.setattr(series_mod, "series_invert", lambda f: calls.append(f) or real(f))
-        f = magnus(gw("[x,y]^40 x^-3 y^-2"), 9, 4)
-        assert len(calls) == 2
-        assert f == magnus(gw("[x,y]^40"), 9, 4) * magnus(gw("x^-3 y^-2"), 9, 4)
+        g, a, b = gw("[x,y]^40 x^-3 y^-2"), gw("[x,y]^40"), gw("x^-3 y^-2")
+
+        def boom(*args):
+            raise AssertionError("magnus must not invert or power")
+
+        monkeypatch.setattr(series_mod, "series_invert", boom)
+        monkeypatch.setattr(freegrp, "power", boom)
+        assert magnus(g, 9, 4) == magnus(a, 9, 4) * magnus(b, 9, 4)
 
     def test_limit_bounds_each_product(self):
         g = gw("x^-1 y^-1 x^-1 y^-1")
@@ -287,6 +301,82 @@ class TestMagnus:
         f = magnus(g, 81, 4)
         assert magnus(g**5, 81, 4) == series_pow(f, 5)
         assert magnus(g**-3, 81, 4) == series_pow(f, -3)
+
+
+def magnus_reference(g, modulus, degree, *, limit=None):
+    """The fold ``magnus`` replaced: ``syllable_images`` on the letter series 1 + x.
+
+    Letters are inverted by ``series_invert`` and syllables raised by
+    binary powering; ``limit`` bounds the term pairs of each product.
+    """
+
+    def letter(x):
+        return TruncatedSeries(g.alphabet, modulus, degree, {(): 1, (x,): 1})
+
+    acc = one = TruncatedSeries.one(g.alphabet, modulus, degree)
+    for image in syllable_images(g, letter, operator.mul, series_invert, one):
+        pairs = sum(len(u) + len(v) <= degree for u in acc.coeffs for v in image.coeffs)
+        if limit is not None and pairs > limit:
+            raise ValueError(
+                f"a syllable product would form more than {limit} terms before merging"
+            )
+        acc = acc * image
+    return acc
+
+
+@st.composite
+def magnus_words(draw):
+    alphabet = draw(st.sampled_from([Alphabet("x"), XY, XYZ]))
+    exponent = st.one_of(st.integers(-6, 6), st.integers(-(2**64), 2**64))
+    syllables = st.tuples(st.integers(0, len(alphabet) - 1), exponent)
+    return GroupWord(alphabet, tuple(draw(st.lists(syllables, max_size=5))))
+
+
+MODULI = st.sampled_from([None, 2, 9, 13**3, 2**61])
+
+
+class TestMagnusMatchesReference:
+    """Closed-form binomial syllables against inversion and binary powering."""
+
+    @given(magnus_words(), MODULI, st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_series(self, g, modulus, degree):
+        assert magnus(g, modulus, degree) == magnus_reference(g, modulus, degree)
+
+    @staticmethod
+    def outcome(f, g, modulus, degree, limit):
+        try:
+            return f(g, modulus, degree, limit=limit)
+        except ValueError as exc:
+            return str(exc)
+
+    @given(magnus_words(), MODULI, st.integers(0, 8), st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_limit_raises_together(self, g, modulus, degree, limit):
+        args = (g, modulus, degree, limit)
+        assert self.outcome(magnus, *args) == self.outcome(magnus_reference, *args)
+
+    # The second word's partial product has a coefficient that cancels
+    # mod 4; a cancelled term forms no pairs.
+    @pytest.mark.parametrize(
+        "text,modulus,degree", [("x^-1 y^-1 x^-1 y^-1", 9, 6), ("x^2 y^-2 x^-1", 4, 2)]
+    )
+    def test_limit_hits_the_cap_exactly(self, text, modulus, degree):
+        limits = range(1, 200)
+        got = [self.outcome(magnus, gw(text), modulus, degree, k) for k in limits]
+        want = [self.outcome(magnus_reference, gw(text), modulus, degree, k) for k in limits]
+        assert got == want
+        assert isinstance(got[0], str) and not isinstance(got[-1], str)
+
+    @pytest.mark.parametrize("e", [-(10**9 + 7), -3, -1, 5, 2**64 + 1])
+    def test_binomial_coefficients(self, e):
+        # x^e maps to (1 + x)^e = sum of C(e, j) x^j, exactly, where
+        # C(e, j) = (-1)^j C(j - e - 1, j) for e < 0.
+        want = {
+            (0,) * j: math.comb(e, j) if e >= 0 else (-1) ** j * math.comb(j - e - 1, j)
+            for j in range(9)
+        }
+        assert magnus(GroupWord(XY, ((0, e),)), None, 8) == TruncatedSeries(XY, None, 8, want)
 
 
 class TestEps:

@@ -7,8 +7,10 @@ from math import comb
 import numpy as np
 import pytest
 
+import lynmag.shufalg as shufalg
+from lynmag.errors import ConsistencyError
 from lynmag.freegrp import GroupWord, parse_group_word
-from lynmag.linalg import rref_mod_p
+from lynmag.linalg import rref_mod_p, solve_mod_p
 from lynmag.series import TruncatedSeries, inner_product, magnus
 from lynmag.shufalg import (
     cfl_check,
@@ -373,6 +375,63 @@ class TestBlockSpanMatchesGlobal:
         # block and global reductions are compared at p = 2 and 3 too.
         assert shuffle_span_basis(2, 2, XY).quotient_dim > necklace(2, 2)
         assert shuffle_span_basis(3, 3, XY).quotient_dim > necklace(3, 2)
+
+
+def reduce_reference(basis, vec):
+    """Clear the pivots one row at a time."""
+    out = np.array(vec, dtype=np.int64) % basis.p
+    for row, col in enumerate(basis.pivots):
+        if out[col]:
+            out = (out - out[col] * basis.rows[row]) % basis.p
+    return out
+
+
+def solve_reference(basis, w):
+    """Lyndon coordinates of w by one linear solve for this word alone."""
+    free = [c for c in range(len(basis.columns)) if c not in basis.pivots]
+    lyn = [u for u in lyndon_words(basis.alphabet, basis.degree) if len(u) == basis.degree]
+    images = np.zeros((len(free), len(lyn)), dtype=np.int64)
+    for j, u in enumerate(lyn):
+        images[:, j] = reduce_reference(basis, basis.word_vector(u))[free]
+    target = reduce_reference(basis, basis.word_vector(w))[free]
+    coeffs = solve_mod_p(images, target, basis.p)
+    return {u: int(c) for u, c in zip(lyn, coeffs) if c}
+
+
+class TestLyndonMapMatchesPerWordSolve:
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    @pytest.mark.parametrize("letters", ["x", "xy", "xyz", "xyzt"])
+    def test_every_word(self, letters, p):
+        alphabet = Alphabet(tuple(letters))
+        for d in (1, 2, 3):
+            basis = shuffle_span_basis(d, p, alphabet)
+            lyndon_map = basis.lyndon_map()
+            assert list(lyndon_map) == [Word(alphabet, key) for key in basis.columns]
+            for w, coords in lyndon_map.items():
+                want = solve_reference(basis, w)
+                assert coords == want
+                assert basis.lyndon_coordinates(w) == want
+
+    @pytest.mark.parametrize("p", [2, 5, 13])
+    def test_reduce_vector(self, p):
+        rng = random.Random(p)
+        for alphabet, d in ((XY, 4), (XYZ, 3), (Alphabet(("x",)), 3)):
+            basis = shuffle_span_basis(d, p, alphabet)
+            vectors = [
+                [rng.randrange(-3 * p, 3 * p) for _ in basis.columns] for _ in range(20)
+            ]
+            for vec in vectors:
+                assert np.array_equal(basis.reduce_vector(vec), reduce_reference(basis, vec))
+            stacked = basis.reduce_vector(vectors)
+            assert np.array_equal(stacked, [reduce_reference(basis, v) for v in vectors])
+
+    def test_not_a_basis_is_a_consistency_error(self, monkeypatch):
+        # xx = (x ш x)/2 vanishes mod 5, so {xx} is not a quotient basis.
+        basis = shuffle_span_basis(2, 5, XY)
+        monkeypatch.setattr(shufalg, "lyndon_words", lambda alphabet, d: [XY.word("xx")])
+        for solve in (basis.lyndon_map, lambda: basis.lyndon_coordinates(XY.word("xy"))):
+            with pytest.raises(ConsistencyError, match="not a quotient basis at degree 2 mod 5"):
+                solve()
 
 
 class TestReduceModShuffles:

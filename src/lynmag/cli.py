@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 from pathlib import Path
 from typing import Optional
 
@@ -87,8 +88,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(
             f"unknown config key(s) in {args.config}: {', '.join(unknown)}"
         )
-    if not is_prime(config.p) or not 2 <= config.p <= 13:
-        raise ValueError(f"p must be a prime in 2..13, got {config.p}")
+    if not 2 <= config.p <= 13 or not is_prime(config.p):
+        raise ValueError(f"--p must be a prime in 2..13, got {config.p}")
     if not 1 <= config.n <= 6:
         raise ValueError(f"n must be in 1..6, got {config.n}")
     if not 1 <= len(config.alphabet) <= 4:
@@ -96,6 +97,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if config.fmt not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}")
     if config.mod is not None:
+        # prime_power trial-divides up to the square root; above 2^40 a
+        # factor up to 2^20 must turn up first, so that stays bounded.
+        if config.mod > 2**40 and all(config.mod % d for d in range(2, 2**20 + 1)):
+            raise ValueError(
+                f"--mod above 2^40 must have a prime factor up to 2^20, got {config.mod}"
+            )
         prime_power(config.mod)
     return config
 
@@ -186,9 +193,12 @@ def cmd_pairing_matrix(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-# Largest truncation degree of a Magnus image the CLI computes; it bounds
-# the length of every printed word.
+# Largest truncation degree of a Magnus image, degree of a shuffle span and
+# length of a shuffle the CLI computes; it bounds every printed word.
 MAX_DEGREE = 256
+# Most interleavings (overlapping ones too, for an infiltration) one
+# `shuffle u v` may sum: C(24, 12) = 2,704,156 for two 12-letter words fits.
+MAX_INTERLEAVINGS = 2**22
 # Most terms one syllable product of a CLI Magnus image may form; with
 # several inverse syllables the support grows like degree^k.
 MAX_TERMS = 65_536
@@ -274,6 +284,8 @@ def cmd_shuffle(config: RunConfig, args: argparse.Namespace) -> int:
     if args.span:
         if config.deg is None:
             raise ValueError("--span requires --deg")
+        if not 1 <= config.deg <= MAX_DEGREE:
+            raise ValueError(f"--deg must be in 1..{MAX_DEGREE}, got {config.deg}")
         basis = shuffle_span_basis(config.deg, config.p, config.alphabet)
         if config.fmt == "json":
             emit_json(basis.to_json(), config)
@@ -305,6 +317,17 @@ def cmd_shuffle(config: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError("exactly two words are required")
     u = config.alphabet.word(args.words[0])
     v = config.alphabet.word(args.words[1])
+    a, b = len(u), len(v)
+    if a + b > MAX_DEGREE:
+        raise ValueError(f"shuffle words have {a} + {b} letters, more than {MAX_DEGREE}")
+    # (a+b-k)! / (k! (a-k)! (b-k)!) interleavings overlap k letter pairs.  A
+    # shuffle has k = 0; an infiltration sums all k (the Delannoy number).
+    overlaps = range(min(a, b) + 1) if args.infiltration else [0]
+    count = sum(comb(a + b - k, k) * comb(a + b - 2 * k, a - k) for k in overlaps)
+    if count > MAX_INTERLEAVINGS:
+        raise ValueError(
+            f"shuffle of ({u}) and ({v}): {count} interleavings, more than {MAX_INTERLEAVINGS}"
+        )
     sh = shuffle(u, v)
     payload = {"u": str(u), "v": str(v), "shuffle": {"terms": sh.to_json()["terms"]}}
     if args.infiltration:

@@ -53,25 +53,3 @@ def inverse_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     if pivots[:d] != tuple(range(d)):
         raise ValueError("matrix is singular mod p")
     return rref[:, d:]
-
-
-def solve_mod_p(matrix: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """The unique solution of A x = b over F_p.
-
-    Raises if the system is inconsistent or underdetermined; callers here
-    rely on uniqueness as a mathematical claim, so anything else is an
-    error worth surfacing.
-    """
-    a = np.array(matrix, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64).reshape(-1, 1) % p
-    rows, cols = a.shape
-    aug = np.concatenate([a, b], axis=1)
-    rref, pivots = rref_mod_p(aug, p)
-    if cols in pivots:
-        raise ValueError("inconsistent linear system mod p")
-    if len(pivots) < cols:
-        raise ValueError("underdetermined linear system mod p")
-    x = np.zeros(cols, dtype=np.int64)
-    for row, c in enumerate(pivots):
-        x[c] = rref[row, cols]
-    return x

@@ -355,27 +355,26 @@ def letter_rows(words: Sequence[Word], letter: int, modulus: int) -> np.ndarray:
 
 
 def tau_power_rows(
-    ws: Sequence[Word], exponents: Sequence[int], words: Sequence[Word], modulus: int
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """rho(w', tau(w)**k) for each Lyndon w in ws and each w' in words.
+    ws: Sequence[Word], words: Sequence[Word], n: int, p: int
+) -> Iterator[tuple[list[Word], np.ndarray]]:
+    """rho(w', tau(w)**(p**(n-|w|))) mod p^(n-s+1) for w in ws and w' in words.
 
-    ``words`` share one length s and ``exponents`` gives each w its k;
-    ws may repeat words and mix lengths, in any order.  tau(w) is
-    evaluated on the letter images of ``letter_rows``, never expanded
-    into a group word.  The ``tau_plan`` of ws is walked one word length
-    at a time, in chunks of at most ``BLOCK`` matrices (one word when its
-    batch alone is larger): six ``_mul_rows`` calls form [a, b] for every
-    word of a chunk and [b, a] for those that are factors of longer
-    words.  A factor's (image, inverse) pair is dropped after its last
-    use.  Each chunk is powered as soon as it is formed, one
-    ``_pow_rows`` call per exponent.  Yields (positions in ws, batch of
-    shape (G, len(words), E)); every position comes exactly once.
+    ``words`` share one length s; ws may mix lengths and repeat words,
+    in any order.  tau(w) is evaluated on the letter images of
+    ``letter_rows``, never expanded into a group word.  The ``tau_plan``
+    of ws is walked one word length at a time, in chunks of at most
+    ``BLOCK`` matrices (one word when its batch alone is larger): six
+    ``_mul_rows`` calls form [a, b] for every word of a chunk and [b, a]
+    for those that are factors of longer words.  A factor's (image,
+    inverse) pair is dropped after its last use.  The words of ws in a
+    chunk share their exponent, so each chunk is powered by one
+    ``_pow_rows`` call as soon as it is formed.  Yields (those words,
+    batch of shape (G, len(words), E)); each distinct word comes once.
     """
-    size = len(words[0]) + 1
+    s = len(words[0])
+    size, modulus = s + 1, p ** (n - s + 1)
     chunk = max(1, BLOCK // len(words))
-    positions: dict[Word, list[int]] = {}
-    for i, w in enumerate(ws):
-        positions.setdefault(w, []).append(i)
+    wanted = set(ws)
 
     def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _mul_rows(a, b, size, modulus)
@@ -410,16 +409,13 @@ def tau_power_rows(
                 for r, step in enumerate(factors):
                     pairs[step.word] = (image[r], inverse[r])
                     expiring.setdefault(step.last_use, []).append(step.word)
-            targets: dict[int, list[tuple[int, int]]] = {}
-            for r, step in enumerate(steps):
-                for i in positions.get(step.word, ()):
-                    targets.setdefault(exponents[i], []).append((r, i))
-            for k, hits in targets.items():
-                for piece in range(0, len(hits), chunk):
-                    rows, at = zip(*hits[piece : piece + chunk])
-                    # no copy when each row of the chunk is powered once, in order
-                    base = image if rows == tuple(range(len(image))) else image[list(rows)]
-                    yield list(at), _pow_rows(base, k, size, modulus)
+            hits = [r for r, step in enumerate(steps) if step.word in wanted]
+            if hits:
+                # no copy when every row of the chunk is wanted
+                base = image if len(hits) == len(image) else image[hits]
+                yield [steps[r].word for r in hits], _pow_rows(
+                    base, p ** (n - length), size, modulus
+                )
         for u in expiring.pop(length, ()):
             del pairs[u]
 

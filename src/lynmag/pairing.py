@@ -77,27 +77,27 @@ def _series_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> n
 
 def _matrix_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:
     """The pairing values read by ``iota`` off batches of unipotent matrices."""
-    exponents = [p ** (n - len(w)) for w in ws]
+    row = {w: i for i, w in enumerate(ws)}  # one row per distinct word
     out = np.zeros((len(ws), len(words)), dtype=np.int64)
     by_length = sorted(range(len(words)), key=lambda j: len(words[j]))
     for s, group in itertools.groupby(by_length, key=lambda j: len(words[j])):
         cols = list(group)
         batch_words = [words[j] for j in cols]
         modulus = p ** (n - s + 1)
-        for positions, batch in tau_power_rows(ws, exponents, batch_words, modulus):
+        for done, batch in tau_power_rows(ws, batch_words, n, p):
             values = iota_rows(n, s, batch, modulus)
             bad = np.argwhere(values < 0)
             if len(bad):
                 g, k = bad[0]
-                w, w_prime = ws[positions[g]], batch_words[k]
+                w, w_prime = done[g], batch_words[k]
                 try:
                     iota(n, s, UnipotentMatrix(s + 1, modulus, batch[g, k].tolist()))
                 except ValueError as exc:
                     raise ConsistencyError(
                         f"matrix route failed for <{w}, {w_prime}>_{n}: {exc}"
                     ) from exc
-            out[np.ix_(positions, cols)] = values
-    return out
+            out[np.ix_([row[w] for w in done], cols)] = values
+    return out[[row[w] for w in ws]]
 
 
 def pairing_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:

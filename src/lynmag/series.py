@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
-from .freegrp import GroupWord, Syllable, commutator
+from .freegrp import GroupWord, Syllable
 from .words import Alphabet, Word, is_lyndon, standard_factorization
 
 WordKey = tuple[int, ...]
@@ -227,53 +227,54 @@ class TruncatedSeries:
         }
 
 
-def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """f^k by the binomial series; k < 0 inverts first.
+def _binomials(k: int) -> Iterator[int]:
+    """C(k, 1), C(k, 2), ... exactly, for any integer k; zero past k >= 0.
 
-    With c the constant term and g = f - c, f^k is the sum over j <= k
-    of C(k, j) c^(k-j) g^j.  Every term of g^j has degree at least j,
-    so a truncated f takes at most ``degree`` products for any k.
+    C(k, j) = C(k, j-1) (k-j+1) / j is an exact division, so it is done
+    before any reduction: j need not be a unit mod the modulus.
     """
+    c, j = 1, 0
+    while True:
+        j += 1
+        c = c * (k - j + 1) // j
+        yield c
+
+
+def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
+    """f^k for any integer k by the generalized binomial series.
+
+    With c the constant term and g = f - c, f^k is the sum over j of
+    C(k, j) c^(k-j) g^j.  Every term of g^j has degree at least j, so a
+    truncated f takes at most ``degree`` products for any k.  k < 0
+    needs a truncation and a unit c: +-1 over exact integers, coprime
+    to p over Z/p^k.
+    """
+    m, c = f.modulus, f.coeffs.get((), 0)
     if k < 0:
-        f, k = series_invert(f), -k
-    m = f.modulus
-    c = f.coeffs.get((), 0)
+        if f.degree is None:
+            raise ValueError("an untruncated polynomial has no inverse")
+        if math.gcd(c, m or 0) != 1:  # gcd(c, 0) = |c|: over Z only +-1 is a unit
+            raise ValueError("constant term is not invertible")
+        # c^(k-j) = (1/c)^(j-k) with j - k > 0, so no exponent below is
+        # negative and exact powers stay ints ((-1) ** -3 is the float -1.0).
+        c = pow(c, -1, m) if m else c
+    top = f.degree if k < 0 else k if f.degree is None else min(k, f.degree)
     g = TruncatedSeries(f.alphabet, m, f.degree, {u: v for u, v in f.coeffs.items() if u})
-    out = {(): pow(c, k, m)}
+    out = {(): pow(c, abs(k), m)}
     g_j = TruncatedSeries.one(f.alphabet, m, f.degree)
-    for j in range(1, k + 1 if f.degree is None else min(k, f.degree) + 1):
+    for j, binomial in zip(range(1, top + 1), _binomials(k)):
         g_j = g_j * g
         if not g_j.coeffs:
             break
-        scale = math.comb(k, j) * pow(c, k - j, m)
+        scale = binomial * pow(c, abs(k - j), m)
         for u, v in g_j.coeffs.items():
             out[u] = out.get(u, 0) + scale * v
     return TruncatedSeries(f.alphabet, m, f.degree, out)
 
 
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:
-    """Two-sided inverse up to the truncation degree.
-
-    Requires the constant term to be a unit: +-1 over exact integers,
-    coprime to p over Z/p^k.
-    """
-    if f.degree is None:
-        raise ValueError("an untruncated polynomial has no inverse")
-    c = f.coeffs.get((), 0)
-    if f.modulus is None:
-        if c not in (1, -1):
-            raise ValueError("constant term must be +-1 for exact inversion")
-        c_inv = c
-    else:
-        if math.gcd(c, f.modulus) != 1:
-            raise ValueError("constant term is not invertible")
-        c_inv = pow(c, -1, f.modulus)
-    one = TruncatedSeries.one(f.alphabet, f.modulus, f.degree)
-    g = f.scale(c_inv) - one  # nilpotent part: f = c(1 + g)
-    r = one
-    for _ in range(f.degree):
-        r = one - g * r
-    return r.scale(c_inv)
+    """Two-sided inverse up to the truncation degree: ``series_pow(f, -1)``."""
+    return series_pow(f, -1)
 
 
 @lru_cache(maxsize=4096)
@@ -283,8 +284,7 @@ def magnus(
     """Image of a free-group word under x -> 1 + x, truncated.
 
     A syllable x^e maps to (1 + x)^e, the sum of C(e, j) x^j over j <= degree,
-    with C(e, j) = C(e, j-1) (e-j+1) / j formed exactly and reduced only
-    afterwards, since j need not be a unit mod the modulus.  Each syllable
+    with C(e, j) from ``_binomials``, reduced only afterwards.  Each syllable
     takes one sweep u -> u x^j, |u| + j <= degree, of the running product;
     with ``limit`` set, a sweep that would form more than ``limit`` terms
     raises ValueError before it is formed.  Results are immutable and cached.
@@ -293,12 +293,11 @@ def magnus(
     binomials: dict[Syllable, list[tuple[WordKey, int]]] = {}
     for x, e in g.syllables:
         if (x, e) not in binomials:
-            c, terms = 1, [((), 1)]
-            for j in range(1, degree + 1):
-                c = c * (e - j + 1) // j
-                if r := c % modulus if modulus else c:
-                    terms.append(((x,) * j, r))
-            binomials[x, e] = terms
+            binomials[x, e] = [((), 1)] + [
+                ((x,) * j, r)
+                for j, c in zip(range(1, degree + 1), _binomials(e))
+                if (r := c % modulus if modulus else c)
+            ]
         terms = binomials[x, e]
         lengths = [len(v) for v, _ in terms]
         fits = [bisect_right(lengths, degree - len(u)) for u in acc]
@@ -383,32 +382,3 @@ def p_poly(w: Word) -> TruncatedSeries:
     left, right = standard_factorization(w)
     a, b = p_poly(left), p_poly(right)
     return a * b - b * a
-
-
-def commutator_coeff_check(
-    sigma: GroupWord, tau: GroupWord, n: int, m: int, w: Word
-) -> bool:
-    """Check the splitting rule for commutator coefficients.
-
-    For sigma with vanishing coefficients below degree n and tau below
-    degree m, the coefficient of a word w of length n+m in the Magnus
-    image of [sigma, tau] must equal
-    eps_{u1}(sigma) eps_{u2}(tau) - eps_{u2'}(tau) eps_{u1'}(sigma)
-    where w = u1 u2 = u2' u1' with |u1| = |u1'| = n.  Exact integers.
-    """
-    if len(w) != n + m:
-        raise ValueError("word length must be n + m")
-    if not lower_central_test(sigma, n):
-        raise ValueError("first element fails the degree-n vanishing precondition")
-    if not lower_central_test(tau, m):
-        raise ValueError("second element fails the degree-m vanishing precondition")
-    deg = n + m
-    f_sigma = magnus(sigma, None, deg)
-    f_tau = magnus(tau, None, deg)
-    f_comm = magnus(commutator(sigma, tau), None, deg)
-    u = w.indices
-    lhs = f_comm.coeffs.get(u, 0)
-    rhs = f_sigma.coeffs.get(u[:n], 0) * f_tau.coeffs.get(u[n:], 0) - f_tau.coeffs.get(
-        u[:m], 0
-    ) * f_sigma.coeffs.get(u[m:], 0)
-    return lhs == rhs

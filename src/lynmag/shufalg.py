@@ -282,8 +282,8 @@ def shuffle_span_basis(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = len(alphabet)
-    if m**d > cap:
-        raise ValueError(f"word space dimension {m**d} exceeds cap {cap}")
+    if d > cap or m**d > cap:  # d first, so m**d stays small
+        raise ValueError(f"word space at degree {d} over {m} letters exceeds cap {cap}")
     columns = tuple(product(range(m), repeat=d))
     # Shuffles preserve letter content, so the span is the direct sum of
     # its letter-content blocks.  RREF is unique for a row space, so

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from .errors import ConsistencyError
 from .freegrp import GroupWord, gr_generators, parse_group_word, tau
 from .matgrp import UnipotentMatrix, generate_group, lower_p_central, rho
-from .pairing import h2_dimension, pairing, pairing_matrix, vanishing_checks
+from .pairing import h2_dimension, pairing_matrix, pairing_rows, vanishing_checks
 from .series import TruncatedSeries, koch_test, magnus, p_poly
 from .shufalg import (
     cfl_check,
@@ -141,38 +141,25 @@ def _check_duality_n2(config: VerifyConfig):
             matrices += 1
             if not m.is_identity():
                 failures.append(f"matrix p={p} |X|={len(alphabet)} not identity")
-    # The displayed degree-2 values over three letters.
+    # The displayed degree-2 values over three letters, one pairing_rows call per prime.
+    ws = [XYZ.word(t) for t in ("x", "y", "z", "xy", "xz", "yz")]
+    words = [XYZ.word(t) for t in "xyz"] + list(all_words(XYZ, 2))
     values = 0
     for p in (2, 3, 5):
-        for x in "xyz":
-            w = XYZ.word(x)
-            for y in "xyz":
+        for w, row in zip(ws, pairing_rows(ws, words, 2, p)):
+            for w2, got in zip(words, row):
                 values += 1
-                want = 1 if x == y else 0
-                if pairing(w, XYZ.word(y), 2, p) != want:
-                    failures.append(f"<({x}),({y})> p={p}")
-            for w2 in all_words(XYZ, 2):
-                values += 1
-                # For p = 2 the square word of the same letter pairs to 1.
-                want = 1 if (p == 2 and w2.indices == w.indices * 2) else 0
-                if pairing(w, w2, 2, p) != want:
-                    failures.append(f"<({x}),({w2})> p={p}")
-        for text in ("xy", "xz", "yz"):
-            w = XYZ.word(text)
-            for y in "xyz":
-                values += 1
-                if pairing(w, XYZ.word(y), 2, p) != 0:
-                    failures.append(f"<({text}),({y})> p={p}")
-            for w2 in all_words(XYZ, 2):
-                values += 1
-                if str(w2) == text:
+                if len(w) == 1:
+                    # For p = 2 the square word of the same letter pairs to 1.
+                    want = int(w2 == w or (p == 2 and w2.indices == w.indices * 2))
+                elif w2 == w:
                     want = 1
-                elif str(w2) == text[::-1]:
+                elif w2.indices == w.indices[::-1]:
                     want = (p - 1) % p
                 else:
                     want = 0
-                if pairing(w, w2, 2, p) != want:
-                    failures.append(f"<({text}),({w2})> p={p}")
+                if got != want:
+                    failures.append(f"<({w}),({w2})> p={p}")
     details = {"matrices": matrices, "values": values}
     if failures:
         details["failures"] = failures[:10]

@@ -157,13 +157,6 @@ def is_lyndon(w: Word) -> bool:
     return all(u < u[i:] for i in range(1, len(u)))
 
 
-def rotations(w: Word) -> Iterator[Word]:
-    """All cyclic rotations of ``w``, starting with ``w`` itself."""
-    u = w.indices
-    for i in range(len(u)):
-        yield Word(w.alphabet, u[i:] + u[:i])
-
-
 def all_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All words of exactly ``length`` letters, in alphabetical order."""
     for t in itertools.product(range(len(alphabet)), repeat=length):

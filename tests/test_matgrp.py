@@ -259,40 +259,38 @@ class TestPairingBatches:
     def test_tau_power_rows_are_rho_of_powers(self, block, monkeypatch):
         monkeypatch.setattr(matgrp, "BLOCK", block)
         ws = lyndon_words(XY, 4)
-        exponents = [3 ** (4 - len(w)) for w in ws]
         words = [XY.word(t) for t in ("xyx", "xxy", "yyx", "xyy")]
         seen = []
-        for positions, batch in tau_power_rows(ws, exponents, words, 27):
-            assert batch.shape == (len(positions), len(words), 6)
-            assert len({exponents[i] for i in positions}) == 1
-            for i, rows in zip(positions, batch):
-                g = tau(ws[i]) ** exponents[i]
+        # n = 5, p = 3: tau(w) ** 3**(5-|w|) on words of length 3, mod 3^3
+        for done, batch in tau_power_rows(ws, words, 5, 3):
+            assert batch.shape == (len(done), len(words), 6)
+            assert len({len(w) for w in done}) == 1
+            for w, rows in zip(done, batch):
+                g = tau(w) ** 3 ** (5 - len(w))
                 assert [tuple(r) for r in rows.tolist()] == [
                     rho_reference(v, g, 27).data for v in words
                 ]
-            seen += positions
-        assert sorted(seen) == list(range(len(ws)))
+            seen += done
+        assert sorted(seen, key=str) == sorted(ws, key=str)
 
     @pytest.mark.parametrize("block", [1, 5, matgrp.BLOCK])
     def test_unsorted_repeated_mixed_lengths(self, block, monkeypatch):
         monkeypatch.setattr(matgrp, "BLOCK", block)
         names = ["xyy", "x", "xy", "y", "x", "xxy", "xy", "xyy", "y", "xy", "x"]
         ws = [XY.word(t) for t in names]
-        # A repeated word may carry a different exponent at each position.
-        exponents = [9, 3, 1, 27, 9, 3, 1, 9, 27, 3, 3]
         words = [XY.word(t) for t in ("xyx", "xxy")]
         seen = []
-        for positions, batch in tau_power_rows(ws, exponents, words, 27):
-            assert batch.shape == (len(positions), len(words), 6)
-            assert len(positions) * len(words) <= max(block, len(words))
-            assert len({exponents[i] for i in positions}) == 1
-            for i, rows in zip(positions, batch):
-                g = tau(ws[i]) ** exponents[i]
+        for done, batch in tau_power_rows(ws, words, 5, 3):
+            assert batch.shape == (len(done), len(words), 6)
+            assert len(done) * len(words) <= max(block, len(words))
+            for w, rows in zip(done, batch):
+                g = tau(w) ** 3 ** (5 - len(w))
                 assert [tuple(r) for r in rows.tolist()] == [
                     rho_reference(v, g, 27).data for v in words
                 ]
-            seen += positions
-        assert sorted(seen) == list(range(len(ws)))
+            seen += done
+        # each distinct word once, however often ws repeats it
+        assert sorted(map(str, seen)) == sorted(set(names))
 
     def test_kernel_calls_per_level_not_per_word(self, monkeypatch):
         # Each word length s of the xyz n=5 p=7 matrix costs at most 6 calls

@@ -279,6 +279,16 @@ class TestRowsAgainstReference:
         assert np.array_equal(pairing_rows(ws, words, 9, 13), want)
         assert want[2].tolist() == [0, 0, 1, 12, 0]
 
+    def test_repeated_unsorted_words(self):
+        # Each route evaluates a repeated word once and fills every row of it.
+        names = ["xyy", "x", "xy", "y", "x", "xxy", "xy", "xyy"]
+        ws = [XY.word(t) for t in names]
+        words = list(all_words(XY, 3)) + [XY.word("yx")]
+        distinct = lyndon_words(XY, 3)
+        want = pairing_rows(distinct, words, 4, 3)
+        got = pairing_rows(ws, words, 4, 3)
+        assert np.array_equal(got, want[[distinct.index(w) for w in ws]])
+
     def test_empty_requests(self):
         assert pairing_rows([], [XY.word("x")], 2, 3).shape == (0, 1)
         assert pairing_rows([XY.word("x")], [], 2, 3).shape == (1, 0)

@@ -20,7 +20,6 @@ from lynmag.freegrp import (
 from lynmag.series import (
     TruncatedSeries,
     balanced,
-    commutator_coeff_check,
     eps,
     inner_product,
     is_prime,
@@ -170,6 +169,20 @@ class TestInversion:
             assert series_invert(series_invert(f)) == f
             assert f * series_invert(f) == TruncatedSeries.one(XY, 25, 3)
             assert series_invert(f) * f == TruncatedSeries.one(XY, 25, 3)
+
+    def test_exact_negative_powers_stay_integers(self):
+        # (-1) ** -3 is -1.0 in Python; exact powers of a -1 constant term
+        # must come out as ints equal to the inverse's binary powers.
+        f = ts(XY, None, 4, {"": -1, "x": 1, "xy": 2})
+        inv = series_invert(f)
+        assert f * inv == TruncatedSeries.one(XY, None, 4)
+        for k in (-1, -2, -3, -(13**4)):
+            got = series_pow(f, k)
+            assert all(type(c) is int for c in got.coeffs.values())
+            assert got == power(inv, -k, operator.mul, TruncatedSeries.one(XY, None, 4))
+
+    def test_constant_polynomial_to_a_huge_power(self):
+        assert series_pow(poly(XY, {"": 1}), 10**18) == poly(XY, {"": 1})
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -506,6 +519,27 @@ class TestTriangularity:
             for key in tail.coeffs:
                 assert len(key) == len(w)
                 assert key > w.indices  # strictly alp-greater, same length
+
+
+def commutator_coeff_check(sigma, tau_, n, m, w):
+    """The splitting rule for commutator coefficients, over exact integers.
+
+    For sigma with vanishing coefficients below degree n and tau below
+    degree m, the coefficient of a word w of length n+m in the Magnus
+    image of [sigma, tau] must equal
+    eps_{u1}(sigma) eps_{u2}(tau) - eps_{u2'}(tau) eps_{u1'}(sigma)
+    where w = u1 u2 = u2' u1' with |u1| = |u1'| = n.
+    """
+    if len(w) != n + m:
+        raise ValueError("word length must be n + m")
+    if not (lower_central_test(sigma, n) and lower_central_test(tau_, m)):
+        raise ValueError("an element fails its vanishing precondition")
+    f_sigma, f_tau, f_comm = (
+        magnus(g, None, n + m).coeffs for g in (sigma, tau_, commutator(sigma, tau_))
+    )
+    u = w.indices
+    rhs = f_sigma.get(u[:n], 0) * f_tau.get(u[n:], 0) - f_tau.get(u[:m], 0) * f_sigma.get(u[m:], 0)
+    return f_comm.get(u, 0) == rhs
 
 
 class TestCommutatorCoeffCheck:

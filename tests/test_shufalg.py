@@ -10,7 +10,7 @@ import pytest
 import lynmag.shufalg as shufalg
 from lynmag.errors import ConsistencyError
 from lynmag.freegrp import GroupWord, parse_group_word
-from lynmag.linalg import rref_mod_p, solve_mod_p
+from lynmag.linalg import rref_mod_p
 from lynmag.series import TruncatedSeries, inner_product, magnus
 from lynmag.shufalg import (
     cfl_check,
@@ -330,6 +330,11 @@ class TestSpanBasis:
     def test_cap(self):
         with pytest.raises(ValueError):
             shuffle_span_basis(3, 5, XYZ, cap=10)
+        # The degree is compared with the cap before m**d is formed, and a
+        # one-letter word space (m**d = 1) is bounded by the degree alone.
+        for d, alphabet in ((10**9, XYZ), (4097, Alphabet(("x",)))):
+            with pytest.raises(ValueError, match=f"degree {d} "):
+                shuffle_span_basis(d, 5, alphabet)
 
     def test_json_report(self):
         basis = shuffle_span_basis(2, 5, XY)
@@ -394,8 +399,9 @@ def solve_reference(basis, w):
     for j, u in enumerate(lyn):
         images[:, j] = reduce_reference(basis, basis.word_vector(u))[free]
     target = reduce_reference(basis, basis.word_vector(w))[free]
-    coeffs = solve_mod_p(images, target, basis.p)
-    return {u: int(c) for u, c in zip(lyn, coeffs) if c}
+    rref, pivots = rref_mod_p(np.column_stack([images, target]), basis.p)
+    assert pivots == tuple(range(len(lyn)))  # one solution, and only one
+    return {u: int(c) for u, c in zip(lyn, rref[:, len(lyn)]) if c}
 
 
 class TestLyndonMapMatchesPerWordSolve:

@@ -63,12 +63,10 @@ from .words import (
     Alphabet,
     Word,
     all_words,
-    alp_compare,
     is_lyndon,
     lyndon_words,
     mobius,
     necklace,
-    preceq_compare,
     standard_factorization,
 )
 
@@ -76,8 +74,6 @@ __all__ = [
     "Alphabet",
     "Word",
     "all_words",
-    "alp_compare",
-    "preceq_compare",
     "is_lyndon",
     "lyndon_words",
     "mobius",

@@ -198,7 +198,7 @@ class TruncatedSeries:
         for key, c in self.terms():
             if self.modulus is not None:
                 c = balanced(c, self.modulus)
-            word = str(Word(self.alphabet, key)) if key else ""
+            word = self.alphabet._spell(key)
             if not word:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -221,7 +221,7 @@ class TruncatedSeries:
             "modulus": self.modulus,
             "degree": self.degree,
             "terms": [
-                {"word": str(Word(self.alphabet, key)), "coeff": c}
+                {"word": self.alphabet._spell(key), "coeff": c}
                 for key, c in self.terms()
             ],
         }

@@ -7,16 +7,25 @@ part is exactly the shuffle.  Both are untruncated
 coefficients.
 
 Row-reducing all pairwise shuffles of a fixed total degree d over F_p
-gives :class:`ShuffleSpanBasis`.  For p > 3 and d <= 3 the Lyndon words
-of length d descend to a basis of the quotient, so every word has a
+gives :class:`ShuffleSpanBasis`.  Shuffles preserve letter content, so
+the span is the direct sum of its letter-content blocks.  Renaming
+letters in order maps a block onto every block with the same
+multiplicity pattern, the count of each letter present (``xxyzz`` and
+``yyztt`` both have (2, 1, 2)), with rows and columns in the same lex
+order.  So each pattern is row-reduced once, on letters 0..k-1, and its
+rows are shared by all of its blocks; no matrix as wide as the whole
+word space is ever built.  For p > 3 and d <= 3 the Lyndon words of
+length d descend to a basis of the quotient, so every word has a
 canonical expression as a combination of Lyndon words modulo shuffles;
-:func:`reduce_mod_shuffles` computes it.
+:func:`reduce_mod_shuffles` computes it from the block of the word alone.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import product, repeat
+from operator import mul, sub
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,11 +75,22 @@ def _infiltration_keys(u: WordKey, v: WordKey) -> dict[WordKey, int]:
     return out
 
 
-def _check_factors(u: Word, v: Word) -> None:
-    if u.alphabet != v.alphabet:
+@cache
+def _terms(keys_of, u: WordKey, v: WordKey) -> tuple[tuple[WordKey, ...], tuple[int, ...]]:
+    # The cached product keys_of(u, v) as (keys, coefficients) tuples.
+    q = keys_of(u, v)
+    return tuple(q), tuple(q.values())
+
+
+def _check_factors(u: Word, v: Word, sigma: GroupWord | None = None) -> None:
+    # Identity first: the factors of a check almost always share one alphabet.
+    alphabet = u.alphabet
+    if v.alphabet is not alphabet and v.alphabet != alphabet:
         raise ValueError("factors over different alphabets")
-    if len(u) == 0 or len(v) == 0:
+    if not u.indices or not v.indices:
         raise ValueError("shuffle factors must be nonempty")
+    if sigma is not None and sigma.alphabet is not alphabet and sigma.alphabet != alphabet:
+        raise ValueError("group word over a different alphabet")
 
 
 def shuffle(u: Word, v: Word) -> TruncatedSeries:
@@ -87,10 +107,11 @@ def infiltration(u: Word, v: Word) -> TruncatedSeries:
     )
 
 
-def _pair(f: dict[WordKey, int], q: dict[WordKey, int]) -> int:
-    # inner_product over raw coefficient maps, for a cached product q
+def _pair(f: dict[WordKey, int], keys_of, u: WordKey, v: WordKey) -> int:
+    # inner_product over raw coefficient maps, for a cached product
     # whose words all lie within the truncation degree of f.
-    return sum(f.get(key, 0) * c for key, c in q.items())
+    keys, coeffs = _terms(keys_of, u, v)
+    return sum(map(mul, map(f.get, keys, repeat(0)), coeffs))
 
 
 def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
@@ -99,12 +120,10 @@ def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     Both sides are evaluated at truncation degree |u|+|v|, mod the given
     prime power (exactly, when modulus is None).
     """
-    _check_factors(u, v)
-    if sigma.alphabet != u.alphabet:
-        raise ValueError("group word over a different alphabet")
+    _check_factors(u, v, sigma)
     f = magnus(sigma, modulus, len(u) + len(v)).coeffs
     lhs = f.get(u.indices, 0) * f.get(v.indices, 0)
-    rhs = _pair(f, _infiltration_keys(u.indices, v.indices))
+    rhs = _pair(f, _infiltration_keys, u.indices, v.indices)
     if modulus is None:
         return lhs == rhs
     return (lhs - rhs) % modulus == 0
@@ -119,9 +138,7 @@ def shuffle_congruence_check(
     membership is the caller's responsibility, so a False return on other
     input is an answer, not an error.
     """
-    _check_factors(u, v)
-    if sigma.alphabet != u.alphabet:
-        raise ValueError("group word over a different alphabet")
+    _check_factors(u, v, sigma)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
@@ -130,7 +147,7 @@ def shuffle_congruence_check(
     if s > n:
         raise ValueError(f"|u| + |v| = {s} exceeds n = {n}")
     f = magnus(sigma, p ** (n + 2), s).coeffs
-    return _pair(f, _shuffle_keys(u.indices, v.indices)) % p ** (n - s + 1) == 0
+    return _pair(f, _shuffle_keys, u.indices, v.indices) % p ** (n - s + 1) == 0
 
 
 def palindrome_identity(w: Word) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -161,100 +178,214 @@ def palindrome_identity(w: Word) -> tuple[TruncatedSeries, TruncatedSeries]:
     return lhs, rhs
 
 
+class _Block(NamedTuple):
+    """One letter-content block of a shuffle span.
+
+    ``cols`` are the indices of the block's words in the word space,
+    ascending; ``rows`` and the local ``pivots`` are the RREF of its
+    multiplicity pattern, shared read-only with every block of that
+    pattern.
+    """
+
+    cols: np.ndarray
+    rows: np.ndarray
+    pivots: tuple[int, ...]
+
+    def reduce(self, x: np.ndarray, p: int) -> np.ndarray:
+        # Each row is 1 at its own pivot and 0 at the others, so one
+        # product clears every pivot of a vector or of a stack of them.
+        return (x - x[..., list(self.pivots)] @ self.rows) % p
+
+
+def _index(key: WordKey, m: int) -> int:
+    # Place of a word among all words of its length in lex order.
+    i = 0
+    for a in key:
+        i = i * m + a
+    return i
+
+
+def _reduce_pattern(
+    pattern: tuple[int, ...], groups: list[dict[tuple[int, ...], list[WordKey]]], p: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    # The block of words over 0..k-1 with these letter counts: its words
+    # as a (columns, d) array in lex order, then the RREF of all its
+    # shuffles.  groups[n] holds the words of length n grouped by counts.
+    d = sum(pattern)
+    columns = groups[d][pattern]
+    local = {key: j for j, key in enumerate(columns)}
+    # Shuffle is commutative, so unordered pairs suffice.
+    shuffles = []
+    for a in range(1, d // 2 + 1):
+        for counts, us in groups[a].items():
+            vs = groups[d - a].get(tuple(map(sub, pattern, counts)), ())
+            for u in us:
+                for v in vs:
+                    if 2 * a < d or u <= v:
+                        shuffles.append(_shuffle_keys(u, v))
+    words = np.array(columns, dtype=np.int64)
+    if not shuffles:
+        return words, np.zeros((0, len(columns)), dtype=np.int64), ()
+    block = np.zeros((len(shuffles), len(columns)), dtype=np.int64)
+    block[
+        [i for i, q in enumerate(shuffles) for _ in q],
+        [local[key] for q in shuffles for key in q],
+    ] = [c % p for q in shuffles for c in q.values()]
+    return (words, *rref_mod_p(block, p))
+
+
+def _span_blocks(d: int, p: int, m: int, contents: Iterable[WordKey]) -> dict[WordKey, _Block]:
+    """The block of each letter content (sorted letters) of degree d.
+
+    Each multiplicity pattern is reduced once, on letters 0..k-1, with
+    the words of every length over k letters grouped by content once.
+    """
+    letters = {content: sorted(set(content)) for content in contents}
+    pattern_of = {content: tuple(map(content.count, ls)) for content, ls in letters.items()}
+    patterns = set(pattern_of.values())
+    reduced: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = {}
+    for k in sorted({len(pattern) for pattern in patterns}):
+        groups: list[dict[tuple[int, ...], list[WordKey]]] = [{} for _ in range(d + 1)]
+        for n, group in enumerate(groups):
+            for key in product(range(k), repeat=n):
+                group.setdefault(tuple(map(key.count, range(k))), []).append(key)
+        for pattern in patterns:
+            if len(pattern) == k:
+                reduced[pattern] = _reduce_pattern(pattern, groups, p)
+    weights = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    blocks = {}
+    for content, ls in letters.items():
+        words, rows, pivots = reduced[pattern_of[content]]
+        # Renaming letter i to the i-th letter present keeps lex order,
+        # so column j of the block is column j of its pattern.
+        blocks[content] = _Block(np.array(ls)[words] @ weights, rows, pivots)
+    return blocks
+
+
+def _lyndon_by_content(alphabet: Alphabet, d: int) -> dict[WordKey, list[Word]]:
+    out: dict[WordKey, list[Word]] = {}
+    for w in lyndon_words(alphabet, d):
+        if len(w) == d:
+            out.setdefault(tuple(sorted(w.indices)), []).append(w)
+    return out
+
+
+def _lyndon_solve(
+    block: _Block, lyn: list[Word], vectors: np.ndarray, p: int, d: int
+) -> list[dict[Word, int]]:
+    # The free (non-pivot) coordinates of each reduced row of vectors,
+    # times the inverse of the square matrix of the block's reduced
+    # Lyndon words lyn.  The quotient is the direct sum of the blocks'
+    # quotients, so the Lyndon words of one content span its block.
+    size = len(block.cols)
+    free = np.ones(size, dtype=bool)
+    free[list(block.pivots)] = False
+    at = np.searchsorted(block.cols, [_index(w.indices, len(w.alphabet)) for w in lyn])
+    images = block.reduce(np.eye(size, dtype=np.int64)[at], p)[:, free]
+    try:
+        inverse = inverse_mod_p(images.T, p)
+    except ValueError as exc:
+        raise ConsistencyError(
+            f"Lyndon images are not a quotient basis at degree {d} mod {p}: {exc}"
+        ) from exc
+    coords = block.reduce(vectors, p)[:, free] @ inverse.T % p
+    return [{wl: int(c) for wl, c in zip(lyn, row) if c} for row in coords]
+
+
+def _word_coordinates(block: _Block, w: Word, p: int) -> dict[Word, int]:
+    # The class of w in the Lyndon basis, from the block of w's content.
+    lyn = _lyndon_by_content(w.alphabet, len(w)).get(tuple(sorted(w.indices)), [])
+    unit = (block.cols == _index(w.indices, len(w.alphabet))).astype(np.int64)
+    return _lyndon_solve(block, lyn, unit[None], p, len(w))[0]
+
+
 class ShuffleSpanBasis:
     """Row-reduced span of {u shuffle v : |u|+|v| = d} over F_p.
 
-    Columns are indexed by all words of length d in preceq order; rows
-    are in reduced row-echelon form with pivots chosen left to right,
-    so every coset of the span has a canonical representative.
+    The words of length d are indexed in lex order, their place in
+    ``product(range(m), repeat=d)``; dense vectors use that index.  The
+    span is kept block-sparse: ``blocks`` maps each letter content (the
+    sorted letters of a word) to its block's word indices, and to the
+    reduced rows and local pivots of its multiplicity pattern, shared
+    by every block of that pattern.  Pivots are chosen left to right
+    within a block, which is where they fall in one reduction of all
+    shuffles, so every coset of the span has a canonical representative.
     """
 
-    __slots__ = ("degree", "p", "alphabet", "columns", "rows", "pivots", "_col")
+    __slots__ = ("degree", "p", "alphabet", "blocks")
 
     def __init__(
-        self,
-        degree: int,
-        p: int,
-        alphabet: Alphabet,
-        columns: tuple[WordKey, ...],
-        rows: np.ndarray,
-        pivots: tuple[int, ...],
+        self, degree: int, p: int, alphabet: Alphabet, blocks: dict[WordKey, _Block]
     ):
         self.degree = degree
         self.p = p
         self.alphabet = alphabet
-        self.columns = columns
-        self.rows = rows
-        self.pivots = pivots
-        self._col = {key: i for i, key in enumerate(columns)}
+        self.blocks = blocks
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return sum(len(b.pivots) for b in self.blocks.values())
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot columns in the whole word space, ascending."""
+        return tuple(sorted(int(b.cols[j]) for b in self.blocks.values() for j in b.pivots))
 
     @property
     def quotient_dim(self) -> int:
-        return len(self.columns) - self.rank
+        return sum(len(b.cols) for b in self.blocks.values()) - self.rank
 
-    def word_vector(self, w: Word) -> np.ndarray:
+    def _check_word(self, w: Word) -> None:
         if w.alphabet != self.alphabet or len(w) != self.degree:
             raise ValueError("word does not belong to this degree component")
-        vec = np.zeros(len(self.columns), dtype=np.int64)
-        vec[self._col[w.indices]] = 1
+
+    def word_vector(self, w: Word) -> np.ndarray:
+        self._check_word(w)
+        m = len(self.alphabet)
+        vec = np.zeros(m**self.degree, dtype=np.int64)
+        vec[_index(w.indices, m)] = 1
         return vec
 
     def poly_vector(self, q: TruncatedSeries) -> np.ndarray:
         if q.alphabet != self.alphabet:
             raise ValueError("polynomial over a different alphabet")
-        vec = np.zeros(len(self.columns), dtype=np.int64)
+        m = len(self.alphabet)
+        vec = np.zeros(m**self.degree, dtype=np.int64)
         for key, c in q.coeffs.items():
             if len(key) != self.degree:
                 raise ValueError("polynomial is not homogeneous of this degree")
-            vec[self._col[key]] = c % self.p
+            vec[_index(key, m)] = c % self.p
         return vec
 
     def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
         """Canonical coset representative: zero at every pivot column.
 
-        Each row is 1 at its own pivot and 0 at the others, so one product
-        clears every pivot.  A stack of vectors reduces row by row.
+        Reduces block by block; a stack of vectors reduces row by row.
         """
         out = np.array(vec, dtype=np.int64) % self.p
-        return (out - out[..., list(self.pivots)] @ self.rows) % self.p
+        for b in self.blocks.values():
+            out[..., b.cols] = b.reduce(out[..., b.cols], self.p)
+        return out
 
     def contains(self, q: TruncatedSeries) -> bool:
         """Whether q lies in the span of shuffles, mod p."""
         return not self.reduce_vector(self.poly_vector(q)).any()
 
-    def _lyndon_coordinates(self, vectors: np.ndarray) -> list[dict[Word, int]]:
-        # The free (non-pivot) coordinates of each reduced row of vectors,
-        # times the inverse of the square matrix of reduced Lyndon words.
-        free = sorted(set(range(len(self.columns))) - set(self.pivots))
-        lyn = [w for w in lyndon_words(self.alphabet, self.degree) if len(w) == self.degree]
-        if len(lyn) != self.quotient_dim:
-            raise ConsistencyError(
-                f"{len(lyn)} Lyndon words vs quotient dimension {self.quotient_dim}"
-            )
-        units = np.eye(len(self.columns), dtype=np.int64)
-        images = self.reduce_vector(units[[self._col[w.indices] for w in lyn]])[:, free]
-        try:
-            inverse = inverse_mod_p(images.T, self.p)
-        except ValueError as exc:
-            raise ConsistencyError(
-                f"Lyndon images are not a quotient basis at degree "
-                f"{self.degree} mod {self.p}: {exc}"
-            ) from exc
-        coords = self.reduce_vector(vectors)[:, free] @ inverse.T % self.p
-        return [{wl: int(c) for wl, c in zip(lyn, row) if c} for row in coords]
-
     def lyndon_coordinates(self, w: Word) -> dict[Word, int]:
         """The class of w written in the Lyndon-word basis of the quotient."""
-        return self._lyndon_coordinates(self.word_vector(w)[None])[0]
+        self._check_word(w)
+        return _word_coordinates(self.blocks[tuple(sorted(w.indices))], w, self.p)
 
     def lyndon_map(self) -> dict[Word, dict[Word, int]]:
         """Lyndon-basis coordinates for every word of this degree."""
-        coords = self._lyndon_coordinates(np.eye(len(self.columns), dtype=np.int64))
-        return {Word(self.alphabet, key): c for key, c in zip(self.columns, coords)}
+        lyn = _lyndon_by_content(self.alphabet, self.degree)
+        coords: dict[int, dict[Word, int]] = {}
+        for content, b in self.blocks.items():
+            units = np.eye(len(b.cols), dtype=np.int64)
+            solved = _lyndon_solve(b, lyn.get(content, []), units, self.p, self.degree)
+            coords.update(zip(b.cols.tolist(), solved))
+        keys = product(range(len(self.alphabet)), repeat=self.degree)
+        return {Word(self.alphabet, key): coords[i] for i, key in enumerate(keys)}
 
     def to_json(self) -> dict:
         report = {
@@ -284,39 +415,8 @@ def shuffle_span_basis(
     m = len(alphabet)
     if d > cap or m**d > cap:  # d first, so m**d stays small
         raise ValueError(f"word space at degree {d} over {m} letters exceeds cap {cap}")
-    columns = tuple(product(range(m), repeat=d))
-    # Shuffles preserve letter content, so the span is the direct sum of
-    # its letter-content blocks.  RREF is unique for a row space, so
-    # reducing each block alone and sorting the rows by pivot gives the
-    # same rows and pivots as one reduction of all shuffles together.
-    blocks: dict[WordKey, list[int]] = {}
-    for i, key in enumerate(columns):
-        blocks.setdefault(tuple(sorted(key)), []).append(i)
-    local = {columns[i]: j for cols in blocks.values() for j, i in enumerate(cols)}
-    shuffles: dict[WordKey, list[dict[WordKey, int]]] = {content: [] for content in blocks}
-    # Shuffle is commutative, so unordered pairs suffice.
-    for a in range(1, d // 2 + 1):
-        for uk in product(range(m), repeat=a):
-            for vk in product(range(m), repeat=d - a):
-                if 2 * a == d and vk < uk:
-                    continue
-                shuffles[tuple(sorted(uk + vk))].append(_shuffle_keys(uk, vk))
-    parts: list[tuple[list[int], np.ndarray, tuple[int, ...]]] = []
-    for content, cols in blocks.items():
-        if not shuffles[content]:
-            continue
-        block = np.zeros((len(shuffles[content]), len(cols)), dtype=np.int64)
-        for row, q in zip(block, shuffles[content]):
-            for key, c in q.items():
-                row[local[key]] = c % p
-        reduced, block_pivots = rref_mod_p(block, p)
-        parts.append((cols, reduced, tuple(cols[c] for c in block_pivots)))
-    pivots = tuple(sorted(c for _, _, piv in parts for c in piv))
-    position = {c: i for i, c in enumerate(pivots)}
-    reduced = np.zeros((len(pivots), len(columns)), dtype=np.int64)
-    for cols, block_rows, piv in parts:
-        reduced[np.ix_([position[c] for c in piv], cols)] = block_rows
-    return ShuffleSpanBasis(d, p, alphabet, columns, reduced, pivots)
+    contents = dict.fromkeys(tuple(sorted(key)) for key in product(range(m), repeat=d))
+    return ShuffleSpanBasis(d, p, alphabet, _span_blocks(d, p, m, contents))
 
 
 def reduce_mod_shuffles(w: Word, p: int) -> dict[Word, int]:
@@ -324,7 +424,8 @@ def reduce_mod_shuffles(w: Word, p: int) -> dict[Word, int]:
 
     Valid for |w| <= 3 and p > 3, the range where Lyndon words are known
     to give a basis of the quotient.  Coefficients are residues 1..p-1;
-    an empty dict means the class of w vanishes.
+    an empty dict means the class of w vanishes.  Shuffles preserve
+    letter content, so only the block of w's content is reduced.
     """
     if not 1 <= len(w) <= 3:
         raise ValueError("only words of length 1..3 are supported")
@@ -332,5 +433,6 @@ def reduce_mod_shuffles(w: Word, p: int) -> dict[Word, int]:
         raise ValueError(f"{p} is not prime")
     if p <= 3:
         raise ValueError("requires p > 3")
-    basis = shuffle_span_basis(len(w), p, w.alphabet)
-    return basis.lyndon_coordinates(w)
+    content = tuple(sorted(w.indices))
+    block = _span_blocks(len(w), p, len(w.alphabet), [content])[content]
+    return _word_coordinates(block, w, p)

@@ -2,9 +2,10 @@
 
 Two total orders matter here.  Alphabetical (``alp``) order is the usual
 dictionary order in which a word precedes every word it is a proper prefix
-of; otherwise the first differing letter decides.  The ``preceq`` order
-sorts by length first and alphabetically within a length.  Both are exposed
-as three-way comparison functions and as sort keys.
+of; otherwise the first differing letter decides.  It is exactly tuple
+comparison of letter indices, so words compare through ``Word.indices``.
+The ``preceq`` order sorts by length first and alphabetically within a
+length; ``preceq_key`` is its sort key.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class Alphabet:
     sequence compare equal and are interchangeable.
     """
 
-    __slots__ = ("letters", "_index")
+    __slots__ = ("letters", "_index", "_sep")
 
     def __init__(self, letters: Iterable[str]):
         letters = tuple(letters)
@@ -35,6 +36,9 @@ class Alphabet:
             raise ValueError("letters must be distinct")
         self.letters = letters
         self._index = {l: i for i, l in enumerate(letters)}
+        # Words are serialized by plain concatenation unless some letter
+        # has several characters; then tokens are joined by a middle dot.
+        self._sep = "" if all(len(l) == 1 for l in letters) else "·"
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -59,6 +63,10 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"letter {letter!r} not in alphabet") from None
 
+    def _spell(self, key: tuple[int, ...]) -> str:
+        # The serialized form of the word with these letter indices.
+        return self._sep.join([self.letters[i] for i in key])
+
     def word(self, text: str) -> "Word":
         """Parse a word from its serialized form.
 
@@ -68,7 +76,7 @@ class Alphabet:
         """
         if not text:
             return Word(self, ())
-        if all(len(l) == 1 for l in self.letters) and "·" not in text:
+        if not self._sep and "·" not in text:
             tokens = list(text)
         else:
             tokens = text.split("·")
@@ -101,10 +109,7 @@ class Word:
         return Word(self.alphabet, self.indices + other.indices)
 
     def __str__(self) -> str:
-        letters = [self.alphabet.letters[i] for i in self.indices]
-        if all(len(l) == 1 for l in self.alphabet.letters):
-            return "".join(letters)
-        return "·".join(letters)
+        return self.alphabet._spell(self.indices)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -115,33 +120,6 @@ class Word:
 
     def letter_set(self) -> frozenset[int]:
         return frozenset(self.indices)
-
-
-def _check_same_alphabet(w1: Word, w2: Word) -> None:
-    if w1.alphabet != w2.alphabet:
-        raise ValueError("words over different alphabets are not comparable")
-
-
-def alp_compare(w1: Word, w2: Word) -> int:
-    """Three-way alphabetical comparison: -1, 0 or 1.
-
-    A proper prefix precedes its extensions; otherwise the first differing
-    letter decides.  This is exactly tuple comparison on letter indices.
-    """
-    _check_same_alphabet(w1, w2)
-    if w1.indices == w2.indices:
-        return 0
-    return -1 if w1.indices < w2.indices else 1
-
-
-def preceq_compare(w1: Word, w2: Word) -> int:
-    """Three-way comparison in the length-then-alphabetical order."""
-    _check_same_alphabet(w1, w2)
-    k1 = (len(w1.indices), w1.indices)
-    k2 = (len(w2.indices), w2.indices)
-    if k1 == k2:
-        return 0
-    return -1 if k1 < k2 else 1
 
 
 def preceq_key(w: Word) -> tuple[int, tuple[int, ...]]:

@@ -447,8 +447,12 @@ class TestBoundedInputs:
         self.exits_two_quickly(argv, "--deg", capsys)
 
     def test_span_at_the_degree_cap(self, capsys):
+        # One letter: one pattern block, one column, never a factorial
+        # number of rearrangements of the content.
         argv = ["shuffle", "--span", "--deg", str(MAX_DEGREE), "--alphabet", "x"]
+        start = time.perf_counter()
         code, out, _ = run(argv + ["--p", "5", "--format", "json"], capsys)
+        assert time.perf_counter() - start < 1.0
         assert code == 0
         assert json.loads(out)["quotient_dim"] == 0
 

@@ -601,3 +601,12 @@ class TestSerialization:
         assert str(ts(XY, None, 2, {"xx": 3})) == "3·xx"
         assert str(poly(XY, {})) == "0"
         assert str(poly(XY, {"xy": 1, "yx": -2})) == "xy - 2·yx"
+
+    def test_multichar_letters_joined_by_dots(self):
+        # Words spell the same in a report as through Word.__str__.
+        a = Alphabet(["a1", "a2"])
+        q = poly(a, {"a1·a2": 1, "a2·a1·a1": -3, "a2": 2})
+        assert str(q) == "2·a2 + a1·a2 - 3·a2·a1·a1"
+        words = [a.word(t) for t in ("a2", "a1·a2", "a2·a1·a1")]
+        assert [t["word"] for t in q.to_json()["terms"]] == [str(w) for w in words]
+        assert [str(w) for w in words] == ["a2", "a1·a2", "a2·a1·a1"]

@@ -1,6 +1,7 @@
 """Shuffle and infiltration products, span reduction, and the congruences."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -25,6 +26,7 @@ from lynmag.words import Alphabet, Word, all_words, lyndon_words, necklace
 
 XY = Alphabet(("x", "y"))
 XYZ = Alphabet(("x", "y", "z"))
+XYZT = Alphabet(("x", "y", "z", "t"))
 
 
 def poly(alphabet, coeffs):
@@ -302,11 +304,12 @@ class TestSpanBasis:
 
     def test_rows_are_reduced_echelon(self):
         basis = shuffle_span_basis(3, 5, XYZ)
-        again, pivots = rref_mod_p(basis.rows, 5)
+        rows = dense_rows(basis)
+        again, pivots = rref_mod_p(rows, 5)
         assert pivots == basis.pivots
-        assert np.array_equal(again, basis.rows)
+        assert np.array_equal(again, rows)
         for row, col in enumerate(basis.pivots):
-            column = basis.rows[:, col]
+            column = rows[:, col]
             assert column[row] == 1 and column.sum() == 1
 
     def test_span_contains_shuffles(self):
@@ -345,6 +348,16 @@ class TestSpanBasis:
         assert "lyndon_map" not in shuffle_span_basis(2, 3, XY).to_json()
 
 
+def dense_rows(basis):
+    """The blocks' rows scattered to full width, one row per pivot, ascending."""
+    position = {c: i for i, c in enumerate(basis.pivots)}
+    rows = np.zeros((basis.rank, len(basis.alphabet) ** basis.degree), dtype=np.int64)
+    for block in basis.blocks.values():
+        at = [position[int(block.cols[j])] for j in block.pivots]
+        rows[np.ix_(at, block.cols)] = block.rows
+    return rows
+
+
 def global_span(d, p, alphabet):
     """Every u ш v of degree d as one full-width row, in one reduction."""
     m = len(alphabet)
@@ -363,16 +376,16 @@ def global_span(d, p, alphabet):
 
 
 class TestBlockSpanMatchesGlobal:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     @pytest.mark.parametrize("letters", ["x", "xy", "xyz", "xyzt"])
     def test_rows_and_pivots(self, letters, p):
         alphabet = Alphabet(tuple(letters))
-        for d in range(1, 6):
+        for d in range(1, 7 if letters in ("xy", "xyz") else 6):
             rows, pivots = global_span(d, p, alphabet)
             basis = shuffle_span_basis(d, p, alphabet)
             assert basis.pivots == pivots
-            assert np.array_equal(basis.rows, rows)
-            assert basis.rows.dtype == np.int64
+            assert np.array_equal(dense_rows(basis), rows)
+            assert all(b.rows.dtype == np.int64 for b in basis.blocks.values())
             assert basis.quotient_dim == len(alphabet) ** d - len(pivots)
 
     def test_quotient_exceeds_necklaces_for_small_primes(self):
@@ -381,19 +394,55 @@ class TestBlockSpanMatchesGlobal:
         assert shuffle_span_basis(2, 2, XY).quotient_dim > necklace(2, 2)
         assert shuffle_span_basis(3, 3, XY).quotient_dim > necklace(3, 2)
 
+    def test_blocks_of_one_pattern_share_a_reduction(self):
+        # xxyzz and yyztt have the same multiplicity pattern (2, 1, 2).
+        basis = shuffle_span_basis(5, 7, XYZT)
+        a, b = basis.blocks[(0, 0, 1, 2, 2)], basis.blocks[(1, 1, 2, 3, 3)]
+        assert a.rows is b.rows and a.pivots == b.pivots
+        assert not np.array_equal(a.cols, b.cols)
+
+    def test_each_pattern_is_reduced_once(self, monkeypatch):
+        # One rref_mod_p call per multiplicity pattern with a shuffle in
+        # it, not one per letter content: 15 patterns against 56 contents.
+        calls = []
+
+        def counted(matrix, p):
+            calls.append(matrix.shape)
+            return rref_mod_p(matrix, p)
+
+        monkeypatch.setattr(shufalg, "rref_mod_p", counted)
+        for d, want in ((5, 15), (3, 4)):
+            calls.clear()
+            shuffle_span_basis(d, 5, XYZT)
+            assert len(calls) == want
+
+    def test_memory_at_the_cap(self):
+        # The dense rank x 4096 matrix alone took ~50 MB at xyzt d=6; the
+        # blocks and a cold shuffle cache stay well below 40 MB.
+        shufalg._shuffle_keys.cache_clear()
+        tracemalloc.start()
+        try:
+            shuffle_span_basis(6, 5, XYZT).to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
 
 def reduce_reference(basis, vec):
     """Clear the pivots one row at a time."""
+    rows = dense_rows(basis)
     out = np.array(vec, dtype=np.int64) % basis.p
     for row, col in enumerate(basis.pivots):
         if out[col]:
-            out = (out - out[col] * basis.rows[row]) % basis.p
+            out = (out - out[col] * rows[row]) % basis.p
     return out
 
 
 def solve_reference(basis, w):
     """Lyndon coordinates of w by one linear solve for this word alone."""
-    free = [c for c in range(len(basis.columns)) if c not in basis.pivots]
+    size = len(basis.alphabet) ** basis.degree
+    free = [c for c in range(size) if c not in basis.pivots]
     lyn = [u for u in lyndon_words(basis.alphabet, basis.degree) if len(u) == basis.degree]
     images = np.zeros((len(free), len(lyn)), dtype=np.int64)
     for j, u in enumerate(lyn):
@@ -412,7 +461,8 @@ class TestLyndonMapMatchesPerWordSolve:
         for d in (1, 2, 3):
             basis = shuffle_span_basis(d, p, alphabet)
             lyndon_map = basis.lyndon_map()
-            assert list(lyndon_map) == [Word(alphabet, key) for key in basis.columns]
+            keys = product(range(len(alphabet)), repeat=d)
+            assert list(lyndon_map) == [Word(alphabet, key) for key in keys]
             for w, coords in lyndon_map.items():
                 want = solve_reference(basis, w)
                 assert coords == want
@@ -424,7 +474,8 @@ class TestLyndonMapMatchesPerWordSolve:
         for alphabet, d in ((XY, 4), (XYZ, 3), (Alphabet(("x",)), 3)):
             basis = shuffle_span_basis(d, p, alphabet)
             vectors = [
-                [rng.randrange(-3 * p, 3 * p) for _ in basis.columns] for _ in range(20)
+                [rng.randrange(-3 * p, 3 * p) for _ in range(len(alphabet) ** d)]
+                for _ in range(20)
             ]
             for vec in vectors:
                 assert np.array_equal(basis.reduce_vector(vec), reduce_reference(basis, vec))
@@ -472,6 +523,17 @@ class TestReduceModShuffles:
         for text in ("x", "xy", "xxy", "xyz", "xzy"):
             w = XYZ.word(text)
             assert reduce_mod_shuffles(w, 5) == {w: 1}
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    @pytest.mark.parametrize("letters", ["x", "xy", "xyz", "xyzt"])
+    def test_matches_per_word_solve(self, letters, p):
+        # reduce_mod_shuffles reduces only the block of w's content; the
+        # reference solves against the whole span of degree |w|.
+        alphabet = Alphabet(tuple(letters))
+        for d in (1, 2, 3):
+            basis = shuffle_span_basis(d, p, alphabet)
+            for w in all_words(alphabet, d):
+                assert reduce_mod_shuffles(w, p) == solve_reference(basis, w)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,13 +10,11 @@ from lynmag.words import (
     Alphabet,
     Word,
     all_words,
-    alp_compare,
     divisors,
     is_lyndon,
     lyndon_words,
     mobius,
     necklace,
-    preceq_compare,
     preceq_key,
     standard_factorization,
 )
@@ -73,47 +71,46 @@ class TestAlphabet:
 
 
 class TestOrders:
+    # alp order is tuple comparison of letter indices, and preceq_key
+    # sorts by length first; both are checked against ref_alp_compare.
+
     def test_pinned_comparisons(self):
-        x, y, xy, xxy = (XY.word(s) for s in ["x", "y", "xy", "xxy"])
-        assert alp_compare(x, xy) == -1  # prefix comes first
-        assert alp_compare(xy, y) == -1
-        assert alp_compare(xxy, xy) == -1
-        assert alp_compare(y, y) == 0
+        x, y, xy, xxy = (XY.word(s).indices for s in ["x", "y", "xy", "xxy"])
+        assert ref_alp_compare(x, xy) == -1  # prefix comes first
+        assert ref_alp_compare(xy, y) == -1
+        assert ref_alp_compare(xxy, xy) == -1
+        assert ref_alp_compare(y, y) == 0
         # preceq sorts by length before spelling
-        assert preceq_compare(x, y) == -1
-        assert preceq_compare(y, xy) == -1
-        assert preceq_compare(xxy, xy) == 1
+        key = lambda text: preceq_key(XY.word(text))
+        assert key("x") < key("y") < key("xy") < key("xxy")
 
     def test_alp_matches_reference_exhaustively(self):
         pool = list(words_up_to(XYZ, 4))
         for w1 in pool:
             for w2 in pool:
                 expected = ref_alp_compare(w1.indices, w2.indices)
-                assert alp_compare(w1, w2) == expected
+                got = (w1.indices > w2.indices) - (w1.indices < w2.indices)
+                assert got == expected
 
     @given(
         st.lists(st.integers(0, 2), max_size=12),
         st.lists(st.integers(0, 2), max_size=12),
     )
     def test_alp_matches_reference_random(self, u, v):
-        w1, w2 = Word(XYZ, tuple(u)), Word(XYZ, tuple(v))
-        assert alp_compare(w1, w2) == ref_alp_compare(tuple(u), tuple(v))
+        u, v = tuple(u), tuple(v)
+        assert (u > v) - (u < v) == ref_alp_compare(u, v)
 
     @given(
         st.lists(st.integers(0, 2), max_size=10),
         st.lists(st.integers(0, 2), max_size=10),
     )
     def test_preceq_refines_length(self, u, v):
-        w1, w2 = Word(XYZ, tuple(u)), Word(XYZ, tuple(v))
-        c = preceq_compare(w1, w2)
+        k1, k2 = preceq_key(Word(XYZ, tuple(u))), preceq_key(Word(XYZ, tuple(v)))
+        c = (k1 > k2) - (k1 < k2)
         if len(u) != len(v):
             assert c == (-1 if len(u) < len(v) else 1)
         else:
-            assert c == alp_compare(w1, w2)
-
-    def test_cross_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            alp_compare(XY.word("x"), XYZ.word("x"))
+            assert c == ref_alp_compare(tuple(u), tuple(v))
 
 
 class TestLyndon:
@@ -229,7 +226,7 @@ class TestStandardFactorization:
                 left, right = standard_factorization(w)
                 assert left + right == w
                 assert is_lyndon(left) and is_lyndon(right)
-                assert alp_compare(left, right) == -1
+                assert ref_alp_compare(left.indices, right.indices) == -1
                 # right factor is also the longest proper Lyndon suffix
                 longest = max(
                     (i for i in range(1, len(w)) if is_lyndon(w[i:])),

@@ -202,6 +202,11 @@ MAX_INTERLEAVINGS = 2**22
 # Most terms one syllable product of a CLI Magnus image may form; with
 # several inverse syllables the support grows like degree^k.
 MAX_TERMS = 65_536
+# Longest `magnus --rho` index word, and the most work its matrices may
+# take: one (|w|+1)^3 product per syllable of g and distinct word w.  The
+# syllable cap with --rho xyxyx,xy is 65,536 * (6^3 + 3^3) = 15,925,248.
+MAX_RHO_LETTERS = 32
+MAX_RHO_WORK = 2**24
 
 
 def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
@@ -209,6 +214,19 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
     degree = config.deg if config.deg is not None else 4
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"--deg must be in 0..{MAX_DEGREE}, got {degree}")
+    rho_words = []
+    if args.rho:
+        if config.mod is None:
+            raise ValueError("--rho requires --mod (a prime power)")
+        texts = args.rho.split(",")
+        rho_words = list(dict.fromkeys(config.alphabet.word(t.strip()) for t in texts))
+        if max(map(len, rho_words)) > MAX_RHO_LETTERS:
+            raise ValueError(f"--rho words may have at most {MAX_RHO_LETTERS} letters")
+        cubes = sum((len(w) + 1) ** 3 for w in rho_words)
+        if max(1, len(g.syllables)) * cubes > MAX_RHO_WORK:
+            raise ValueError(
+                f"--rho: {len(g.syllables)} syllables x {cubes} is more than {MAX_RHO_WORK}"
+            )
     try:
         series = magnus(g, config.mod, degree, limit=MAX_TERMS)
     except ValueError as exc:
@@ -235,11 +253,8 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
             "p": config.p,
             "passed": koch_test(g, config.n, config.p),
         }
-    if args.rho:
-        if config.mod is None:
-            raise ValueError("--rho requires --mod (a prime power)")
-        words = [config.alphabet.word(text.strip()) for text in args.rho.split(",")]
-        matrices = {str(w): rho(w, g, config.mod) for w in words}
+    if rho_words:
+        matrices = {str(w): rho(w, g, config.mod) for w in rho_words}
         payload["rho"] = {w_text: m.to_json() for w_text, m in matrices.items()}
     if config.fmt == "json":
         emit_json(payload, config)
@@ -262,7 +277,7 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
             lines.append(
                 f"koch criterion (n={config.n}, p={config.p}): {verdict}"
             )
-        if args.rho:
+        if rho_words:
             for w_text, matrix in matrices.items():
                 lines.append(f"rho^({w_text}) mod {config.mod}:")
                 dense = matrix.dense()

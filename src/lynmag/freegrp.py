@@ -10,20 +10,18 @@ standard factorization; together with p-th power maps these produce the
 canonical generating family of each layer of the lower p-central series
 (see ``gr_generators``).  ``tau_plan`` lays out that recursion once: the
 closure of a set of Lyndon words under standard factorization, shortest
-first, with the last use of each factor.  ``tau_images`` evaluates it in
-any target group given the images of the letters, so a caller that only
+first, with the last use of each factor.  Two walks of that plan evaluate
+tau homomorphically, one word length at a time: ``tau_images`` in any
+target group given the images of the letters, so a caller that only
 needs the image of tau(w), such as a Magnus series, never builds the
-group word; ``matgrp.tau_power_rows`` walks the same plan one word
-length at a time on stacks of matrices.  ``syllable_images`` and
-``power`` evaluate any group word in a target group: ``rho`` folds them
-on letter matrices, and ``homomorphism-properties`` checks the result
-against the closed-form binomial series of ``magnus``.
+group word, and ``matgrp.tau_power_rows`` on stacks of matrices.
+``power`` raises an element of any target group by binary powering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .words import Alphabet, Word, is_lyndon, lyndon_words, standard_factorization
@@ -113,29 +111,6 @@ def power(a: T, k: int, mul: Callable[[T, T], T], one: T) -> T:
     return result
 
 
-def syllable_images(
-    g: GroupWord,
-    letter: Callable[[int], T],
-    mul: Callable[[T, T], T],
-    inv: Callable[[T], T],
-    one: T,
-) -> Iterator[T]:
-    """The image of each syllable x^e of g, in order, in any target group.
-
-    Each letter image is inverted at most once and each distinct syllable
-    powered once; callers fold the images and may bound each product.
-    """
-    bases: dict[tuple[int, bool], T] = {}
-    powers: dict[Syllable, T] = {}
-    for x, e in g.syllables:
-        if (x, e) not in powers:
-            key = (x, e < 0)
-            if key not in bases:
-                bases[key] = inv(letter(x)) if e < 0 else letter(x)
-            powers[x, e] = power(bases[key], abs(e), mul, one)
-        yield powers[x, e]
-
-
 def commutator(g: GroupWord, h: GroupWord) -> GroupWord:
     """[g, h] = g^-1 h^-1 g h."""
     return g.inverse() * h.inverse() * g * h
@@ -179,41 +154,41 @@ def tau_images(
     letter: Callable[[int], T],
     mul: Callable[[T, T], T],
     inv: Callable[[T], T],
-) -> Iterator[T]:
-    """The image of tau(w) for each Lyndon word w, in any target group.
+) -> Iterator[tuple[Word, T]]:
+    """(w, image of tau(w)) for each Lyndon word w, in any target group.
 
     ``letter`` maps a letter index to its image.  A single letter maps
     to that image; a longer word splits through its standard
-    factorization w = w'w'' (``tau_plan``) and maps to [tau(w'), tau(w'')].
-    Each factor's (image, inverse) pair is computed once per call:
-    inv([a, b]) = [b, a], so only letters are ever inverted.  Images are
-    yielded in the order of ``words``.
+    factorization w = w'w'' and maps to [tau(w'), tau(w'')].  The
+    ``tau_plan`` of words is walked one word length at a time, as
+    ``matgrp.tau_power_rows`` does: each factor's (image, inverse) pair
+    is formed once and dropped after its last use, and inv([a, b]) =
+    [b, a], so only letters are ever inverted.  Each distinct word is
+    yielded once, as soon as it is formed: shortest first.
     """
     words = list(words)
-    factors = {step.word: step.factors for step in tau_plan(words)}
+    wanted = set(words)
     pairs: dict[Word, tuple[T, T]] = {}
+    expiring: dict[int, list[Word]] = {}  # last use -> factors to drop after it
 
-    def bracket(a: T, a_inv: T, b: T, b_inv: T) -> T:
+    def bracket(u: Word, v: Word) -> T:
+        (a, a_inv), (b, b_inv) = pairs[u], pairs[v]
         return mul(mul(a_inv, b_inv), mul(a, b))
 
-    def pair(u: Word) -> tuple[T, T]:
-        if u not in pairs:
-            if factors[u] is None:
-                a = letter(u.indices[0])
-                pairs[u] = (a, inv(a))
+    for length, level in groupby(tau_plan(words), key=lambda step: len(step.word)):
+        for step in level:
+            if step.factors is None:
+                image = letter(step.word.indices[0])
             else:
-                (a, a_inv), (b, b_inv) = map(pair, factors[u])
-                pairs[u] = (bracket(a, a_inv, b, b_inv), bracket(b, b_inv, a, a_inv))
-        return pairs[u]
-
-    for w in words:
-        if w in pairs:
-            yield pairs[w][0]
-        elif factors[w] is None:
-            yield letter(w.indices[0])
-        else:
-            (a, a_inv), (b, b_inv) = map(pair, factors[w])
-            yield bracket(a, a_inv, b, b_inv)
+                image = bracket(*step.factors)
+            if step.last_use:
+                inverse = inv(image) if step.factors is None else bracket(*step.factors[::-1])
+                pairs[step.word] = (image, inverse)
+                expiring.setdefault(step.last_use, []).append(step.word)
+            if step.word in wanted:
+                yield step.word, image
+        for u in expiring.pop(length, ()):
+            del pairs[u]
 
 
 def tau(w: Word) -> GroupWord:
@@ -222,7 +197,7 @@ def tau(w: Word) -> GroupWord:
     def letter(i: int) -> GroupWord:
         return GroupWord(w.alphabet, ((i, 1),))
 
-    (image,) = tau_images([w], letter, GroupWord.__mul__, GroupWord.inverse)
+    ((_, image),) = tau_images([w], letter, GroupWord.__mul__, GroupWord.inverse)
     return image
 
 

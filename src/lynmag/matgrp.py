@@ -5,18 +5,20 @@ implicitly 1), in the row-major ``_upper_pairs`` layout.  One matrix at
 a time it is a ``UnipotentMatrix`` holding a flat tuple, which keeps it
 hashable; ``rho``, ``iota`` and the verification checks use these.
 
+Whole blocks of matrices are rows of an (N, E) array, E = size*(size-1)/2,
+and private kernels form their row-wise products, inverses and powers.
+Powers use the binomial series of I + N, so any exponent costs at most
+size - 2 products.  Entries are int64 when every reduced product of two
+residues fits, and exact Python ints otherwise.  A single matrix is
+inverted and powered by the same kernels, as a block of one row; only
+its product keeps a scalar loop, which is faster on one matrix.
+
 The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
-instead works on whole blocks of matrices: each matrix is one row of an
-(N, E) array, E = size*(size-1)/2, and a private kernel that runs no
-free-group code forms row-wise products, inverses and powers.  Powers
-use the binomial series of I + N, so any exponent costs at most size - 2
-products.  Entries are int64 when every reduced product of two residues
-fits, and exact Python ints otherwise.  At most ``BLOCK`` products are
-formed per kernel call, which bounds memory.  The matrix route of the
-duality pairing runs on the same kernels: ``tau_power_rows`` walks the
-``tau_plan`` of many Lyndon words one word length at a time, on the
-letter images ``letter_rows`` of many words w' at once, and
-``iota_rows`` reads the central coordinate of a whole batch.
+forms at most ``BLOCK`` products per kernel call, which bounds memory.
+The matrix route of the duality pairing runs on the same kernels:
+``tau_power_rows`` walks the ``tau_plan`` of many Lyndon words one word
+length at a time, on the letter images ``letter_rows`` of many words w'
+at once, and ``iota_rows`` reads the central coordinate of a whole batch.
 
 ``rho`` builds the unipotent representation attached to a word from
 letter matrices; the (i, j) entry of the image of g is the Magnus
@@ -34,12 +36,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .freegrp import GroupWord, TauStep, power, syllable_images, tau_plan
+from .freegrp import GroupWord, TauStep, tau_plan
 from .series import is_prime, prime_power
 from .words import Word
 
 # Products per kernel call in the group engine; bounds its working memory.
 BLOCK = 4096
+# Largest group order generate_group builds.
+MAX_ORDER = 10**6
 
 
 @lru_cache(maxsize=None)
@@ -136,21 +140,15 @@ class UnipotentMatrix:
         return UnipotentMatrix(self.size, self.modulus, data)
 
     def inverse(self) -> "UnipotentMatrix":
-        # back-substitution; unitriangular matrices are always invertible
-        m, mod = self.size, self.modulus
-        a = self.dense()
-        x = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        for i in range(m - 2, -1, -1):
-            for j in range(m):
-                s = sum(a[i][k] * x[k][j] for k in range(i + 1, m))
-                x[i][j] = ((1 if i == j else 0) - s) % mod
-        pairs = _upper_pairs(m)
-        return UnipotentMatrix(m, mod, tuple(x[i - 1][j - 1] for i, j in pairs))
+        return self ** -1
 
     def __pow__(self, k: int) -> "UnipotentMatrix":
-        base = self if k >= 0 else self.inverse()
-        one = UnipotentMatrix.identity(self.size, self.modulus)
-        return power(base, abs(k), operator.mul, one)
+        """Any integer power, on the row kernels: a negative k inverts first."""
+        size, modulus = self.size, self.modulus
+        a = _rows([self], size, modulus)
+        if k < 0:
+            a = _inverse_rows(a, size, modulus)
+        return UnipotentMatrix(size, modulus, _pow_rows(a, abs(k), size, modulus)[0].tolist())
 
     def is_identity(self) -> bool:
         return not any(self.data)
@@ -187,8 +185,9 @@ def rho(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
     """The unipotent representation attached to w, evaluated at g.
 
     Letter x maps to I + sum of E_{i,i+1} over the positions i with
-    w_i = x, and g is the product of its ``syllable_images``.  The (i, j)
-    entry is the Magnus coefficient of w_i...w_{j-1} in g, which
+    w_i = x.  Each distinct syllable x^e of g is raised once, by
+    ``__pow__``, and the syllables are folded in order by ``*``.  The
+    (i, j) entry is the Magnus coefficient of w_i...w_{j-1} in g, which
     ``homomorphism-properties`` checks against ``magnus``.
     """
     s = len(w)
@@ -196,13 +195,13 @@ def rho(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
         raise ValueError("word must be nonempty")
     if w.alphabet != g.alphabet:
         raise ValueError("word and group word use different alphabets")
-    one = UnipotentMatrix.identity(s + 1, modulus)
 
     def letter(x: int) -> UnipotentMatrix:
         return UnipotentMatrix(s + 1, modulus, letter_rows([w], x, modulus)[0].tolist())
 
-    images = syllable_images(g, letter, operator.mul, UnipotentMatrix.inverse, one)
-    return reduce(operator.mul, images, one)
+    images = {(x, e): letter(x) ** e for x, e in dict.fromkeys(g.syllables)}
+    one = UnipotentMatrix.identity(s + 1, modulus)
+    return reduce(operator.mul, map(images.__getitem__, g.syllables), one)
 
 
 def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:
@@ -439,7 +438,6 @@ def _pair_blocks(n_a: int, n_b: int):
 
 def generate_group(
     generators: Iterable[UnipotentMatrix],
-    cap: int = 10**6,
     size: Optional[int] = None,
     modulus: Optional[int] = None,
 ) -> FiniteGroupTable:
@@ -448,7 +446,7 @@ def generate_group(
     The generated submonoid of a finite group is the generated subgroup,
     so right multiplication from the identity is enough.  Each step
     multiplies the whole frontier by every generator.  Raises ValueError
-    when the group order would exceed ``cap``.  ``size`` and ``modulus``
+    when the group order would exceed ``MAX_ORDER``.  ``size`` and ``modulus``
     are only needed when the generator list is empty.
 
     Each step has a fixed numpy cost of some tens of microseconds, so
@@ -471,8 +469,8 @@ def generate_group(
         for i, j in _pair_blocks(len(frontier), len(gens)):
             products = _unique_rows(_mul_rows(frontier[i], gens[j], size, modulus))
             fresh = [r for r in map(tuple, products.tolist()) if r not in seen]
-            if len(seen) + len(fresh) > cap:
-                raise ValueError(f"group order exceeds cap {cap}")
+            if len(seen) + len(fresh) > MAX_ORDER:
+                raise ValueError(f"group order exceeds cap {MAX_ORDER}")
             seen.update(fresh)
             new += fresh
         frontier = np.array(new, dtype=gens.dtype).reshape(len(new), width)

@@ -2,16 +2,17 @@
 
 ``pairing_rows(ws, words, n, p)`` pairs each generator tau(w)^(p^(n-|w|))
 of the n-th lower p-central layer, w Lyndon, against the coefficient
-functional of each word w'.  Both routes evaluate the same tau
-recursion (``freegrp.tau_plan``) homomorphically in a different target
-group, and both raise unipotent elements by the binomial series, so
-p^(n-|w|) costs at most n products; neither expands a generator into a
-group word and neither reads ``magnus`` or ``rho``:
+functional of each word w'.  Both routes walk the same tau recursion
+(``freegrp.tau_plan``) one word length at a time, homomorphically in a
+different target group, place rows through a word -> row map (so ws may
+repeat words, in any order) and raise unipotent elements by the binomial
+series, so p^(n-|w|) costs at most n products; neither expands a
+generator into a group word and neither reads ``magnus`` or ``rho``:
 
 - series route: tau(w) on the letter series 1 + x over Z/p^n
-  (``freegrp.tau_images``), raised to p^(n-|w|) once per row by
-  ``series_pow``; each coefficient of w' is read mod p^(n-s'+1),
-  divided by p^(n-s') and taken mod p;
+  (``freegrp.tau_images``), raised to p^(n-|w|) by ``series_pow`` as
+  soon as it is formed, once per distinct word; each coefficient of w'
+  is read mod p^(n-s'+1), divided by p^(n-s') and taken mod p;
 - matrix route: tau(w) on the letter matrices I + sum E_{i,i+1} of every
   w' of one length s', on the row kernels of ``matgrp``
   (``tau_power_rows``): all words w of one length form one stack, so a
@@ -50,17 +51,15 @@ def _series_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> n
     modulus, degree = p ** (n - min(lengths) + 1), max(lengths)
     moduli, shifts = p ** (n - lengths + 1), p ** (n - lengths)
     keys = [v.indices for v in words]
+    row = {w: i for i, w in enumerate(ws)}  # one row per distinct word
     out = np.zeros((len(ws), len(words)), dtype=np.int64)
-    # Longest first, so shorter words are met as factors before they are asked for.
-    order = sorted(range(len(ws)), key=lambda i: -len(ws[i]))
     images = tau_images(
-        [ws[i] for i in order],
+        ws,
         lambda x: TruncatedSeries(alphabet, modulus, degree, {(): 1, (x,): 1}),
         operator.mul,
         series_invert,
     )
-    for i, image in zip(order, images):
-        w = ws[i]
+    for w, image in images:
         f = series_pow(image, p ** (n - len(w)))
         c = np.array([f.coeffs.get(key, 0) for key in keys], dtype=object) % moduli
         bad = np.flatnonzero(c % shifts)
@@ -71,8 +70,8 @@ def _series_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> n
                 f"tau({w})**(p**{n - len(w)}) is not divisible by {shifts[j]} "
                 f"mod {moduli[j]}"
             )
-        out[i] = (c // shifts).astype(np.int64)
-    return out
+        out[row[w]] = (c // shifts).astype(np.int64)
+    return out[[row[w] for w in ws]]
 
 
 def _matrix_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 The shuffle of two words sums all interleavings with multiplicity; the
 infiltration also allows matching letters to overlap, and its top-degree
-part is exactly the shuffle.  Both are untruncated
-:class:`~lynmag.series.TruncatedSeries` values with exact integer
-coefficients.
+part is exactly the shuffle.  Both come from one cached recursion, as
+untruncated :class:`~lynmag.series.TruncatedSeries` values with exact
+integer coefficients.
 
 Row-reducing all pairwise shuffles of a fixed total degree d over F_p
 gives :class:`ShuffleSpanBasis`.  Shuffles preserve letter content, so
@@ -35,44 +35,36 @@ from .linalg import inverse_mod_p, rref_mod_p
 from .series import TruncatedSeries, WordKey, is_prime, magnus
 from .words import Alphabet, Word, lyndon_words
 
+# Largest word space m^d that shuffle_span_basis reduces.
+MAX_WORDS = 4096
+
 
 @cache
-def _shuffle_keys(u: WordKey, v: WordKey) -> dict[WordKey, int]:
-    # Recursion on the last letter of each factor.  Cached results are
-    # shared and must never be mutated by callers.
+def _product_keys(u: WordKey, v: WordKey, overlap: bool) -> dict[WordKey, int]:
+    # Recursion on the last letter of each factor; with overlap, equal
+    # final letters may also land on the same position (infiltration).
+    # Cached results are shared and must never be mutated by callers.
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
+    parts = [(u[:-1], v, u[-1:]), (u, v[:-1], v[-1:])]
+    if overlap and u[-1] == v[-1]:
+        parts.append((u[:-1], v[:-1], u[-1:]))
     out: dict[WordKey, int] = {}
-    for key, c in _shuffle_keys(u[:-1], v).items():
-        key = key + u[-1:]
-        out[key] = out.get(key, 0) + c
-    for key, c in _shuffle_keys(u, v[:-1]).items():
-        key = key + v[-1:]
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-@cache
-def _infiltration_keys(u: WordKey, v: WordKey) -> dict[WordKey, int]:
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    out: dict[WordKey, int] = {}
-    for key, c in _infiltration_keys(u[:-1], v).items():
-        key = key + u[-1:]
-        out[key] = out.get(key, 0) + c
-    for key, c in _infiltration_keys(u, v[:-1]).items():
-        key = key + v[-1:]
-        out[key] = out.get(key, 0) + c
-    if u[-1] == v[-1]:
-        # The two final letters may land on the same position.
-        for key, c in _infiltration_keys(u[:-1], v[:-1]).items():
-            key = key + u[-1:]
+    for a, b, last in parts:
+        for key, c in _product_keys(a, b, overlap).items():
+            key = key + last
             out[key] = out.get(key, 0) + c
     return out
+
+
+def _shuffle_keys(u: WordKey, v: WordKey) -> dict[WordKey, int]:
+    return _product_keys(u, v, False)
+
+
+def _infiltration_keys(u: WordKey, v: WordKey) -> dict[WordKey, int]:
+    return _product_keys(u, v, True)
 
 
 @cache
@@ -335,17 +327,6 @@ class ShuffleSpanBasis:
     def quotient_dim(self) -> int:
         return sum(len(b.cols) for b in self.blocks.values()) - self.rank
 
-    def _check_word(self, w: Word) -> None:
-        if w.alphabet != self.alphabet or len(w) != self.degree:
-            raise ValueError("word does not belong to this degree component")
-
-    def word_vector(self, w: Word) -> np.ndarray:
-        self._check_word(w)
-        m = len(self.alphabet)
-        vec = np.zeros(m**self.degree, dtype=np.int64)
-        vec[_index(w.indices, m)] = 1
-        return vec
-
     def poly_vector(self, q: TruncatedSeries) -> np.ndarray:
         if q.alphabet != self.alphabet:
             raise ValueError("polynomial over a different alphabet")
@@ -370,11 +351,6 @@ class ShuffleSpanBasis:
     def contains(self, q: TruncatedSeries) -> bool:
         """Whether q lies in the span of shuffles, mod p."""
         return not self.reduce_vector(self.poly_vector(q)).any()
-
-    def lyndon_coordinates(self, w: Word) -> dict[Word, int]:
-        """The class of w written in the Lyndon-word basis of the quotient."""
-        self._check_word(w)
-        return _word_coordinates(self.blocks[tuple(sorted(w.indices))], w, self.p)
 
     def lyndon_map(self) -> dict[Word, dict[Word, int]]:
         """Lyndon-basis coordinates for every word of this degree."""
@@ -404,17 +380,15 @@ class ShuffleSpanBasis:
         return report
 
 
-def shuffle_span_basis(
-    d: int, p: int, alphabet: Alphabet, cap: int = 4096
-) -> ShuffleSpanBasis:
+def shuffle_span_basis(d: int, p: int, alphabet: Alphabet) -> ShuffleSpanBasis:
     """Row-reduce all shuffles u ш v with |u| + |v| = d over F_p."""
     if d < 1:
         raise ValueError("degree must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = len(alphabet)
-    if d > cap or m**d > cap:  # d first, so m**d stays small
-        raise ValueError(f"word space at degree {d} over {m} letters exceeds cap {cap}")
+    if d > MAX_WORDS or m**d > MAX_WORDS:  # d first, so m**d stays small
+        raise ValueError(f"word space at degree {d} over {m} letters exceeds cap {MAX_WORDS}")
     contents = dict.fromkeys(tuple(sorted(key)) for key in product(range(m), repeat=d))
     return ShuffleSpanBasis(d, p, alphabet, _span_blocks(d, p, m, contents))
 

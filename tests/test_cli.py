@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import time
 from datetime import timedelta
 
@@ -12,7 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import lynmag.cli as cli
 import lynmag.verify as verify
-from lynmag.cli import MAX_DEGREE, MAX_INTERLEAVINGS, MAX_TERMS, main
+from lynmag.cli import (
+    MAX_DEGREE,
+    MAX_INTERLEAVINGS,
+    MAX_RHO_LETTERS,
+    MAX_RHO_WORK,
+    MAX_TERMS,
+    main,
+)
 from lynmag.errors import ConsistencyError
 
 
@@ -479,6 +487,39 @@ class TestBoundedInputs:
             assert total == sum(
                 math.comb(a + b - k, k) * math.comb(a + b - 2 * k, a - k) for k in overlaps
             )
+
+    @pytest.mark.parametrize(
+        "word,rho",
+        [
+            ("[x,y]", "xy" * 160),  # one 320-letter word
+            ("[x,y]", ",".join(  # 200 words of 64 letters
+                "".join(random.Random(i).choice("xy") for _ in range(64)) for i in range(200)
+            )),
+            ("[x,y]^16384", "xy" * 16),  # 65,536 syllables x 33^3
+            ("[x,y]^16384", "xyxyx,xy,yyxy"),  # 65,536 x (6^3 + 3^3 + 5^3)
+        ],
+    )
+    def test_rho(self, word, rho, capsys):
+        argv = ["magnus", word, "--deg", "4", "--mod", "9", "--rho", rho]
+        self.exits_two_quickly(argv, "--rho", capsys)
+
+    def test_rho_below_the_bounds(self, capsys):
+        # A word at the letter cap runs; so does the syllable cap with
+        # --rho xyxyx,xy, which the CI workflow runs end to end.
+        assert 65_536 * (6**3 + 3**3) <= MAX_RHO_WORK
+        rho = "xy" * (MAX_RHO_LETTERS // 2)
+        code, out, _ = run(["magnus", "[x,y]", "--deg", "2", "--mod", "9", "--rho", rho], capsys)
+        assert code == 0 and out
+
+    def test_rho_of_each_distinct_word_once(self, capsys, monkeypatch):
+        argv = ["magnus", "x y^-2", "--deg", "3", "--mod", "27", "--format", "json"]
+        _, once, _ = run(argv + ["--rho", "xy,yx"], capsys)
+        calls = []
+        real = cli.rho
+        monkeypatch.setattr(cli, "rho", lambda *args: calls.append(args[0]) or real(*args))
+        code, out, _ = run(argv + ["--rho", "xy,yx,xy,yx,xy"], capsys)
+        assert code == 0 and out == once
+        assert sorted(map(str, calls)) == ["xy", "yx"]
 
     def test_shuffle_words_below_the_bound(self, capsys):
         code, out, _ = run(["shuffle", "xyxyxyxyxyxy", "yxyxyxyxyxyx", "--format", "json"], capsys)

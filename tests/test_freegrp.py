@@ -16,7 +16,6 @@ from lynmag.freegrp import (
     gr_generators,
     parse_group_word,
     power,
-    syllable_images,
     tau,
     tau_images,
     tau_plan,
@@ -103,9 +102,9 @@ class TestArithmetic:
 
 
 class TestPower:
-    """``power``, the binary powering behind ``GroupWord`` and
-    ``UnipotentMatrix`` ``**`` and syllable images.  ``series_pow`` takes
-    the binomial series instead and must give the same values."""
+    """``power``, the binary powering behind ``GroupWord`` ``**``.
+    ``series_pow`` and ``UnipotentMatrix`` ``**`` take the binomial
+    series instead and must give the same values."""
 
     def cases(self):
         rng = random.Random(3)
@@ -143,34 +142,6 @@ class TestPower:
             power(2, -1, operator.mul, 1)
 
 
-class TestSyllableImages:
-    def test_images_in_order(self):
-        g = gw("x^3 y^-2 z x^-1 y^-2 x^3", XYZ)
-        letter = lambda i: GroupWord(XYZ, ((i, 1),))
-        one = GroupWord.identity(XYZ)
-        images = syllable_images(g, letter, GroupWord.__mul__, GroupWord.inverse, one)
-        assert list(images) == [GroupWord(XYZ, (s,)) for s in g.syllables]
-
-    def test_letters_inverted_and_syllables_powered_once(self):
-        inverted, products = [], []
-
-        def inv(a):
-            inverted.append(a)
-            return -a
-
-        def mul(a, b):
-            products.append((a, b))
-            return a + b
-
-        # Letter i maps to i + 1 in the additive integers, so x^e maps to e(i + 1).
-        g = gw("x^3 y^-2 x^3 y^-2 x^-1 y^5 x^-1", XY)
-        images = list(syllable_images(g, lambda i: i + 1, mul, inv, 0))
-        assert images == [3, -4, 3, -4, -1, 10, -1]
-        assert sorted(inverted) == [1, 2]
-        # x^3, y^-2, x^-1 and y^5 are each powered once: 3 + 2 + 1 + 4 products.
-        assert len(products) == 10
-
-
 class TestTauPlan:
     def test_closure_shortest_first_factors_before_words(self):
         ws = [XYZ.word(t) for t in ("xyzz", "y", "xyy", "xyzz", "xz")]
@@ -205,15 +176,25 @@ class TestTauImages:
     def test_group_word_target_is_tau(self):
         words = lyndon_words(XYZ, 4)
         letter = lambda i: GroupWord(XYZ, ((i, 1),))
-        images = tau_images(words, letter, GroupWord.__mul__, GroupWord.inverse)
-        assert list(images) == [tau(w) for w in words]
+        images = dict(tau_images(words, letter, GroupWord.__mul__, GroupWord.inverse))
+        assert images == {w: tau(w) for w in words}
 
     def test_series_target_is_magnus_of_tau(self):
         # Evaluating in the series ring is the Magnus image: a homomorphism.
         words = lyndon_words(XY, 5)[::-1]
         letter = lambda i: TruncatedSeries(XY, 27, 5, {(): 1, (i,): 1})
-        images = tau_images(words, letter, lambda a, b: a * b, series_invert)
-        assert list(images) == [magnus(tau(w), 27, 5) for w in words]
+        images = dict(tau_images(words, letter, lambda a, b: a * b, series_invert))
+        assert images == {w: magnus(tau(w), 27, 5) for w in words}
+
+    def test_each_word_once_shortest_first(self):
+        # Repeated, unsorted words come out once each, in plan order.
+        words = [XYZ.word(t) for t in ("xyzz", "y", "xyy", "xyzz", "xz", "y", "xyy")]
+        letter = lambda i: GroupWord(XYZ, ((i, 1),))
+        images = list(tau_images(words, letter, GroupWord.__mul__, GroupWord.inverse))
+        plan = [step.word for step in tau_plan(words)]
+        assert [w for w, _ in images] == [w for w in plan if w in set(words)]
+        assert sorted(map(str, (w for w, _ in images))) == ["xyy", "xyzz", "xz", "y"]
+        assert all(image == tau(w) for w, image in images)
 
     def test_letters_inverted_once_per_call(self):
         inverted = []

@@ -1,5 +1,6 @@
 """Unipotent matrices, rho, iota, and the brute-force filtration engine."""
 
+import operator
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lynmag.matgrp as matgrp
 import lynmag.series as series
 import lynmag.verify as verify
-from lynmag.freegrp import GroupWord, parse_group_word, tau
+from lynmag.freegrp import GroupWord, parse_group_word, power, tau
 from lynmag.matgrp import (
     FiniteGroupTable,
     UnipotentMatrix,
@@ -71,7 +72,7 @@ class TestMatrixArithmetic:
             acc = UnipotentMatrix.identity(3, 9)
             for k in range(6):
                 assert a**k == acc
-                assert a**-k == acc.inverse()
+                assert (a**-k * acc).is_identity()
                 acc = acc * a
 
     def test_entry_and_dense(self):
@@ -132,6 +133,17 @@ class TestRho:
         monkeypatch.setattr(series, "magnus", boom)
         assert not hasattr(matgrp, "magnus")
         assert {w: rho(XY.word(w), g, 27) for w in want} == want
+
+    def test_each_distinct_syllable_powered_once(self, monkeypatch):
+        w, g = XY.word("xyx"), parse_group_word(XY, "x^3 y^-2 x^3 y^-2 x^-1 y^5 x^-1")
+        want = rho_reference(w, g, 27)
+        exponents = []
+        real = UnipotentMatrix.__pow__
+        monkeypatch.setattr(
+            UnipotentMatrix, "__pow__", lambda a, k: exponents.append(k) or real(a, k)
+        )
+        assert rho(w, g, 27) == want
+        assert sorted(exponents) == [-2, -1, 3, 5]
 
     def test_letter_goes_to_elementary(self):
         w = XY.word("xy")
@@ -336,12 +348,14 @@ class TestGenerateGroup:
         with pytest.raises(ValueError):
             generate_group([])
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         # the cap is the largest order allowed
-        assert len(generate_group([E(2, 25, 1, 2)], cap=25)) == 25
+        monkeypatch.setattr(matgrp, "MAX_ORDER", 25)
+        assert len(generate_group([E(2, 25, 1, 2)])) == 25
         for cap in (10, 24):
-            with pytest.raises(ValueError):
-                generate_group([E(2, 25, 1, 2)], cap=cap)
+            monkeypatch.setattr(matgrp, "MAX_ORDER", cap)
+            with pytest.raises(ValueError, match=f"exceeds cap {cap}"):
+                generate_group([E(2, 25, 1, 2)])
 
     def test_huge_modulus_uses_exact_ints(self):
         table = generate_group([E(2, 2**61, 1, 2, 2**60)])
@@ -411,8 +425,20 @@ def matrix_pairs(draw):
     return size, modulus, draw_matrices(), draw_matrices()
 
 
+def scalar_power(x: UnipotentMatrix, k: int) -> UnipotentMatrix:
+    """x^k by binary powering on the scalar ``__mul__``, not the row kernels."""
+    return power(x, k, operator.mul, UnipotentMatrix.identity(x.size, x.modulus))
+
+
+def assert_inverses(rows, xs):
+    # Each row is a two-sided inverse of its matrix under the scalar product.
+    for x, row in zip(xs, rows.tolist()):
+        inv = UnipotentMatrix(x.size, x.modulus, row)
+        assert (x * inv).is_identity() and (inv * x).is_identity()
+
+
 class TestBatchedKernel:
-    """The group engine's array kernel against the scalar operators."""
+    """The group engine's array kernel against the scalar product."""
 
     @settings(max_examples=200)
     @given(matrix_pairs(), st.integers(0, 13))
@@ -424,10 +450,10 @@ class TestBatchedKernel:
         assert matgrp._mul_rows(a, b, size, modulus).tolist() == data(
             x * y for x, y in zip(xs, ys)
         )
-        assert matgrp._inverse_rows(a, size, modulus).tolist() == data(
-            x.inverse() for x in xs
+        assert_inverses(matgrp._inverse_rows(a, size, modulus), xs)
+        assert matgrp._pow_rows(a, k, size, modulus).tolist() == data(
+            scalar_power(x, k) for x in xs
         )
-        assert matgrp._pow_rows(a, k, size, modulus).tolist() == data(x**k for x in xs)
 
     def test_dtype_follows_modulus(self):
         assert matgrp._rows([E(3, 13**4, 1, 2)], 3, 13**4).dtype == np.int64
@@ -440,8 +466,10 @@ class TestBatchedKernel:
         assert matgrp._mul_rows(a, a[::-1], 4, big).tolist() == [
             list((x * y).data) for x, y in zip(xs, xs[::-1])
         ]
-        assert matgrp._inverse_rows(a, 4, big).tolist() == [list(x.inverse().data) for x in xs]
-        assert matgrp._pow_rows(a, 7, 4, big).tolist() == [list((x**7).data) for x in xs]
+        assert_inverses(matgrp._inverse_rows(a, 4, big), xs)
+        assert matgrp._pow_rows(a, 7, 4, big).tolist() == [
+            list(scalar_power(x, 7).data) for x in xs
+        ]
 
     def test_unique_rows_sorts_lexicographically(self):
         rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1]])
@@ -465,7 +493,7 @@ class TestBinomialPowers:
         large = [rng.randrange(2**20, 2**64) for _ in range(3)]
         for k in list(range(size + 2)) + prime_powers + large:
             assert matgrp._pow_rows(a, k, size, modulus).tolist() == [
-                list((x**k).data) for x in xs
+                list(scalar_power(x, k).data) for x in xs
             ], k
 
     def test_stacks_of_batches(self):
@@ -474,7 +502,7 @@ class TestBinomialPowers:
               for _ in range(6)]
         a = matgrp._rows(xs, 5, 7**3).reshape(2, 3, 10)
         got = matgrp._pow_rows(a, 7**2, 5, 7**3).reshape(6, 10)
-        assert got.tolist() == [list((x ** 7**2).data) for x in xs]
+        assert got.tolist() == [list(scalar_power(x, 7**2).data) for x in xs]
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_at_most_size_minus_two_products(self, size, monkeypatch):

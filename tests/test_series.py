@@ -14,7 +14,6 @@ from lynmag.freegrp import (
     commutator,
     parse_group_word,
     power,
-    syllable_images,
     tau,
 )
 from lynmag.series import (
@@ -317,17 +316,18 @@ class TestMagnus:
 
 
 def magnus_reference(g, modulus, degree, *, limit=None):
-    """The fold ``magnus`` replaced: ``syllable_images`` on the letter series 1 + x.
+    """The fold ``magnus`` replaced, on the letter series 1 + x.
 
-    Letters are inverted by ``series_invert`` and syllables raised by
-    binary powering; ``limit`` bounds the term pairs of each product.
+    Each syllable x^e is the letter series, inverted by ``series_invert``
+    when e < 0, raised by binary ``power``; ``limit`` bounds the term
+    pairs of each product.
     """
-
-    def letter(x):
-        return TruncatedSeries(g.alphabet, modulus, degree, {(): 1, (x,): 1})
-
     acc = one = TruncatedSeries.one(g.alphabet, modulus, degree)
-    for image in syllable_images(g, letter, operator.mul, series_invert, one):
+    for x, e in g.syllables:
+        base = TruncatedSeries(g.alphabet, modulus, degree, {(): 1, (x,): 1})
+        if e < 0:
+            base = series_invert(base)
+        image = power(base, abs(e), operator.mul, one)
         pairs = sum(len(u) + len(v) <= degree for u in acc.coeffs for v in image.coeffs)
         if limit is not None and pairs > limit:
             raise ValueError(

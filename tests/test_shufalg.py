@@ -326,13 +326,17 @@ class TestSpanBasis:
         for alphabet in (XY, XYZ):
             for d in (1, 2, 3):
                 basis = shuffle_span_basis(d, 5, alphabet)
+                lyndon_map = basis.lyndon_map()
                 for w in lyndon_words(alphabet, d):
                     if len(w) == d:
-                        assert basis.lyndon_coordinates(w) == {w: 1}
+                        assert lyndon_map[w] == {w: 1}
+                        assert reduce_mod_shuffles(w, 5) == {w: 1}
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            shuffle_span_basis(3, 5, XYZ, cap=10)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(shufalg, "MAX_WORDS", 10)
+        with pytest.raises(ValueError, match="exceeds cap 10"):
+            shuffle_span_basis(3, 5, XYZ)
+        monkeypatch.undo()
         # The degree is compared with the cap before m**d is formed, and a
         # one-letter word space (m**d = 1) is bounded by the degree alone.
         for d, alphabet in ((10**9, XYZ), (4097, Alphabet(("x",)))):
@@ -419,7 +423,7 @@ class TestBlockSpanMatchesGlobal:
     def test_memory_at_the_cap(self):
         # The dense rank x 4096 matrix alone took ~50 MB at xyzt d=6; the
         # blocks and a cold shuffle cache stay well below 40 MB.
-        shufalg._shuffle_keys.cache_clear()
+        shufalg._product_keys.cache_clear()
         tracemalloc.start()
         try:
             shuffle_span_basis(6, 5, XYZT).to_json()
@@ -439,6 +443,14 @@ def reduce_reference(basis, vec):
     return out
 
 
+def unit(basis, w):
+    """The dense vector of one word of the basis's degree."""
+    m, d = len(basis.alphabet), basis.degree
+    vec = np.zeros(m**d, dtype=np.int64)
+    vec[np.ravel_multi_index(w.indices, (m,) * d)] = 1
+    return vec
+
+
 def solve_reference(basis, w):
     """Lyndon coordinates of w by one linear solve for this word alone."""
     size = len(basis.alphabet) ** basis.degree
@@ -446,8 +458,8 @@ def solve_reference(basis, w):
     lyn = [u for u in lyndon_words(basis.alphabet, basis.degree) if len(u) == basis.degree]
     images = np.zeros((len(free), len(lyn)), dtype=np.int64)
     for j, u in enumerate(lyn):
-        images[:, j] = reduce_reference(basis, basis.word_vector(u))[free]
-    target = reduce_reference(basis, basis.word_vector(w))[free]
+        images[:, j] = reduce_reference(basis, unit(basis, u))[free]
+    target = reduce_reference(basis, unit(basis, w))[free]
     rref, pivots = rref_mod_p(np.column_stack([images, target]), basis.p)
     assert pivots == tuple(range(len(lyn)))  # one solution, and only one
     return {u: int(c) for u, c in zip(lyn, rref[:, len(lyn)]) if c}
@@ -466,7 +478,9 @@ class TestLyndonMapMatchesPerWordSolve:
             for w, coords in lyndon_map.items():
                 want = solve_reference(basis, w)
                 assert coords == want
-                assert basis.lyndon_coordinates(w) == want
+                assert reduce_mod_shuffles(w, p) == want
+                vec = unit(basis, w)
+                assert np.array_equal(basis.reduce_vector(vec), reduce_reference(basis, vec))
 
     @pytest.mark.parametrize("p", [2, 5, 13])
     def test_reduce_vector(self, p):
@@ -486,7 +500,7 @@ class TestLyndonMapMatchesPerWordSolve:
         # xx = (x ш x)/2 vanishes mod 5, so {xx} is not a quotient basis.
         basis = shuffle_span_basis(2, 5, XY)
         monkeypatch.setattr(shufalg, "lyndon_words", lambda alphabet, d: [XY.word("xx")])
-        for solve in (basis.lyndon_map, lambda: basis.lyndon_coordinates(XY.word("xy"))):
+        for solve in (basis.lyndon_map, lambda: reduce_mod_shuffles(XY.word("xy"), 5)):
             with pytest.raises(ConsistencyError, match="not a quotient basis at degree 2 mod 5"):
                 solve()
 

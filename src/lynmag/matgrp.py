@@ -21,9 +21,9 @@ length at a time, on the letter images ``letter_rows`` of many words w'
 at once, and ``iota_rows`` reads the central coordinate of a whole batch.
 
 ``rho`` builds the unipotent representation attached to a word from
-letter matrices; the (i, j) entry of the image of g is the Magnus
-coefficient of the subword from position i to j-1.  ``iota`` reads off
-the distinguished central coordinate used by the duality pairing.
+closed-form syllable images; the (i, j) entry of the image of g is the
+Magnus coefficient of the subword from position i to j-1.  ``iota`` reads
+off the distinguished central coordinate used by the duality pairing.
 """
 
 from __future__ import annotations
@@ -184,22 +184,34 @@ class UnipotentMatrix:
 def rho(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
     """The unipotent representation attached to w, evaluated at g.
 
-    Letter x maps to I + sum of E_{i,i+1} over the positions i with
-    w_i = x.  Each distinct syllable x^e of g is raised once, by
-    ``__pow__``, and the syllables are folded in order by ``*``.  The
-    (i, j) entry is the Magnus coefficient of w_i...w_{j-1} in g, which
-    ``homomorphism-properties`` checks against ``magnus``.
+    Letter x maps to I + N, N the sum of E_{i,i+1} over the positions i
+    with w_i = x.  N^j has a 1 at (i, i+j) exactly when w_i...w_{i+j-1}
+    are all x, so each distinct syllable x^e of g is written down once as
+    I + sum of C(e, j) N^j, in O(|w|^2), and the syllables are folded in
+    order by ``*``.  The (i, j) entry is the Magnus coefficient of
+    w_i...w_{j-1} in g, which ``homomorphism-properties`` checks against
+    ``magnus``.
     """
     s = len(w)
     if s < 1:
         raise ValueError("word must be nonempty")
     if w.alphabet != g.alphabet:
         raise ValueError("word and group word use different alphabets")
+    u = w.indices
+    # each entry's span j - i, and the one letter its subword repeats, if any
+    spans = [
+        (j - i, u[i - 1] if len(set(u[i - 1 : j - 1])) == 1 else None)
+        for i, j in _upper_pairs(s + 1)
+    ]
 
-    def letter(x: int) -> UnipotentMatrix:
-        return UnipotentMatrix(s + 1, modulus, letter_rows([w], x, modulus)[0].tolist())
+    def syllable(x: int, e: int) -> UnipotentMatrix:
+        # d! C(e, d) is a polynomial in e, so C(e, d) mod m depends only on
+        # e mod m d!; r >= 0 also covers e < 0 and keeps huge e cheap.
+        r = e % (modulus * math.factorial(s))
+        comb = [math.comb(r, d) for d in range(s + 1)]
+        return UnipotentMatrix(s + 1, modulus, [comb[d] if c == x else 0 for d, c in spans])
 
-    images = {(x, e): letter(x) ** e for x, e in dict.fromkeys(g.syllables)}
+    images = {key: syllable(*key) for key in dict.fromkeys(g.syllables)}
     one = UnipotentMatrix.identity(s + 1, modulus)
     return reduce(operator.mul, map(images.__getitem__, g.syllables), one)
 

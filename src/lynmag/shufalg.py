@@ -59,18 +59,10 @@ def _product_keys(u: WordKey, v: WordKey, overlap: bool) -> dict[WordKey, int]:
     return out
 
 
-def _shuffle_keys(u: WordKey, v: WordKey) -> dict[WordKey, int]:
-    return _product_keys(u, v, False)
-
-
-def _infiltration_keys(u: WordKey, v: WordKey) -> dict[WordKey, int]:
-    return _product_keys(u, v, True)
-
-
 @cache
-def _terms(keys_of, u: WordKey, v: WordKey) -> tuple[tuple[WordKey, ...], tuple[int, ...]]:
-    # The cached product keys_of(u, v) as (keys, coefficients) tuples.
-    q = keys_of(u, v)
+def _terms(u: WordKey, v: WordKey, overlap: bool) -> tuple[tuple[WordKey, ...], tuple[int, ...]]:
+    # The cached _product_keys(u, v, overlap) as (keys, coefficients) tuples.
+    q = _product_keys(u, v, overlap)
     return tuple(q), tuple(q.values())
 
 
@@ -88,21 +80,19 @@ def _check_factors(u: Word, v: Word, sigma: GroupWord | None = None) -> None:
 def shuffle(u: Word, v: Word) -> TruncatedSeries:
     """Sum over all interleavings of u and v, with multiplicity."""
     _check_factors(u, v)
-    return TruncatedSeries(u.alphabet, None, None, _shuffle_keys(u.indices, v.indices))
+    return TruncatedSeries(u.alphabet, None, None, _product_keys(u.indices, v.indices, False))
 
 
 def infiltration(u: Word, v: Word) -> TruncatedSeries:
     """Like shuffle, but positions of equal letters may also coincide."""
     _check_factors(u, v)
-    return TruncatedSeries(
-        u.alphabet, None, None, _infiltration_keys(u.indices, v.indices)
-    )
+    return TruncatedSeries(u.alphabet, None, None, _product_keys(u.indices, v.indices, True))
 
 
-def _pair(f: dict[WordKey, int], keys_of, u: WordKey, v: WordKey) -> int:
+def _pair(f: dict[WordKey, int], u: WordKey, v: WordKey, overlap: bool) -> int:
     # inner_product over raw coefficient maps, for a cached product
     # whose words all lie within the truncation degree of f.
-    keys, coeffs = _terms(keys_of, u, v)
+    keys, coeffs = _terms(u, v, overlap)
     return sum(map(mul, map(f.get, keys, repeat(0)), coeffs))
 
 
@@ -115,7 +105,7 @@ def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     _check_factors(u, v, sigma)
     f = magnus(sigma, modulus, len(u) + len(v)).coeffs
     lhs = f.get(u.indices, 0) * f.get(v.indices, 0)
-    rhs = _pair(f, _infiltration_keys, u.indices, v.indices)
+    rhs = _pair(f, u.indices, v.indices, True)
     if modulus is None:
         return lhs == rhs
     return (lhs - rhs) % modulus == 0
@@ -139,7 +129,7 @@ def shuffle_congruence_check(
     if s > n:
         raise ValueError(f"|u| + |v| = {s} exceeds n = {n}")
     f = magnus(sigma, p ** (n + 2), s).coeffs
-    return _pair(f, _shuffle_keys, u.indices, v.indices) % p ** (n - s + 1) == 0
+    return _pair(f, u.indices, v.indices, False) % p ** (n - s + 1) == 0
 
 
 def palindrome_identity(w: Word) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -214,7 +204,7 @@ def _reduce_pattern(
             for u in us:
                 for v in vs:
                     if 2 * a < d or u <= v:
-                        shuffles.append(_shuffle_keys(u, v))
+                        shuffles.append(_product_keys(u, v, False))
     words = np.array(columns, dtype=np.int64)
     if not shuffles:
         return words, np.zeros((0, len(columns)), dtype=np.int64), ()

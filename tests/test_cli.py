@@ -511,6 +511,17 @@ class TestBoundedInputs:
         code, out, _ = run(["magnus", "[x,y]", "--deg", "2", "--mod", "9", "--rho", rho], capsys)
         assert code == 0 and out
 
+    def test_rho_distinct_syllables_at_the_work_bound(self, capsys):
+        # Every syllable distinct, with exponents past the word length: the
+        # syllable images must cost no more than the bound charges.
+        count = MAX_RHO_WORK // (MAX_RHO_LETTERS + 1) ** 3
+        word = " ".join(f"{'xy'[i % 2]}^{MAX_RHO_LETTERS + i}" for i in range(count))
+        rho = "xy" * (MAX_RHO_LETTERS // 2)
+        start = time.perf_counter()
+        code, out, _ = run(["magnus", word, "--deg", "2", "--mod", "9", "--rho", rho], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and out
+
     def test_rho_of_each_distinct_word_once(self, capsys, monkeypatch):
         argv = ["magnus", "x y^-2", "--deg", "3", "--mod", "27", "--format", "json"]
         _, once, _ = run(argv + ["--rho", "xy,yx"], capsys)

@@ -134,16 +134,19 @@ class TestRho:
         assert not hasattr(matgrp, "magnus")
         assert {w: rho(XY.word(w), g, 27) for w in want} == want
 
-    def test_each_distinct_syllable_powered_once(self, monkeypatch):
-        w, g = XY.word("xyx"), parse_group_word(XY, "x^3 y^-2 x^3 y^-2 x^-1 y^5 x^-1")
-        want = rho_reference(w, g, 27)
-        exponents = []
-        real = UnipotentMatrix.__pow__
-        monkeypatch.setattr(
-            UnipotentMatrix, "__pow__", lambda a, k: exponents.append(k) or real(a, k)
-        )
-        assert rho(w, g, 27) == want
-        assert sorted(exponents) == [-2, -1, 3, 5]
+    @pytest.mark.parametrize("e", [1, 2, 7, 40, 10**20, -1, -3, -40, -(10**20)])
+    @pytest.mark.parametrize("modulus", [8, 3**4, 2**64])
+    def test_syllable_is_power_of_letter_matrix(self, e, modulus):
+        # The closed form against binary powering on the scalar product.
+        w = XYZ.word("xxzxxxyxxxxzx")
+        size = len(w) + 1
+        one = UnipotentMatrix.identity(size, modulus)
+        for x in "xyz":
+            ones = {(i, i + 1): 1 for i in range(1, size) if str(w)[i - 1] == x}
+            a = UnipotentMatrix.from_entries(size, modulus, ones)
+            base = a if e > 0 else a.inverse()
+            want = power(base, abs(e), operator.mul, one)
+            assert rho(w, parse_group_word(XYZ, f"{x}^{e}"), modulus) == want
 
     def test_letter_goes_to_elementary(self):
         w = XY.word("xy")

@@ -10,11 +10,12 @@ standard factorization; together with p-th power maps these produce the
 canonical generating family of each layer of the lower p-central series
 (see ``gr_generators``).  ``tau_plan`` lays out that recursion once: the
 closure of a set of Lyndon words under standard factorization, shortest
-first, with the last use of each factor.  Two walks of that plan evaluate
-tau homomorphically, one word length at a time: ``tau_images`` in any
-target group given the images of the letters, so a caller that only
-needs the image of tau(w), such as a Magnus series, never builds the
-group word, and ``matgrp.tau_power_rows`` on stacks of matrices.
+first, with the last use of each factor.  Walks of that plan evaluate
+tau homomorphically, one word length at a time, so a caller that only
+needs the image of tau(w) never builds the group word: ``tau_images`` in
+any target group given the images of the letters (``tau`` itself uses
+it in the free group), ``matgrp.tau_power_rows`` on stacks of matrices
+and ``pairing._tau_parts`` on the augmentation parts of Magnus series.
 ``power`` raises an element of any target group by binary powering.
 """
 
@@ -61,6 +62,10 @@ class GroupWord:
         object.__setattr__(self, "syllables", tuple(_push([], self.syllables)))
         if any(not (0 <= l < m) for l, _ in self.syllables):
             raise ValueError("letter index out of range")
+
+    def __hash__(self) -> int:
+        # Consistent with the generated equality, without hashing the alphabet.
+        return hash(self.syllables)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "GroupWord":

@@ -7,18 +7,21 @@ hashable; ``rho``, ``iota`` and the verification checks use these.
 
 Whole blocks of matrices are rows of an (N, E) array, E = size*(size-1)/2,
 and private kernels form their row-wise products, inverses and powers.
-Powers use the binomial series of I + N, so any exponent costs at most
-size - 2 products.  Entries are int64 when every reduced product of two
-residues fits, and exact Python ints otherwise.  A single matrix is
+Products and inverses sum each entry's products unreduced and reduce
+once.  Powers use the binomial series of I + N, so any exponent costs at
+most size - 2 products.  Entries are int64 when size products of two
+residues fit, and exact Python ints otherwise.  A single matrix is
 inverted and powered by the same kernels, as a block of one row; only
 its product keeps a scalar loop, which is faster on one matrix.
 
 The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
 forms at most ``BLOCK`` products per kernel call, which bounds memory.
 The matrix route of the duality pairing runs on the same kernels:
-``tau_power_rows`` walks the ``tau_plan`` of many Lyndon words one word
-length at a time, on the letter images ``letter_rows`` of many words w'
-at once, and ``iota_rows`` reads the central coordinate of a whole batch.
+``tau_power_rows`` walks the ``tau_plan`` of many Lyndon words once, one
+word length at a time, on the letter images ``letter_rows`` of words w'
+of every length at once, padded into one batch; ``block_rows`` cuts out
+the block of each w' and ``iota_rows`` reads the central coordinate of a
+whole batch.
 
 ``rho`` builds the unipotent representation attached to a word from
 closed-form syllable images; the (i, j) entry of the image of g is the
@@ -271,27 +274,31 @@ class FiniteGroupTable:
         return f"FiniteGroupTable({len(self.elements)} elements)"
 
 
-def _dtype(modulus: int):
-    # int64 holds each reduced product term when (m-1)^2 fits; else exact ints
-    return np.int64 if (modulus - 1) ** 2 <= np.iinfo(np.int64).max else object
+def _dtype(size: int, modulus: int):
+    # int64 holds an entry's unreduced sum of at most size products of two
+    # residues when size (m-1)^2 fits; else exact ints
+    return np.int64 if size * (modulus - 1) ** 2 <= np.iinfo(np.int64).max else object
 
 
 def _rows(matrices: Sequence[UnipotentMatrix], size: int, modulus: int) -> np.ndarray:
     """Stack matrices of one size and modulus as the rows of an (N, E) array."""
     if any(g.size != size or g.modulus != modulus for g in matrices):
         raise ValueError("matrices must share size and modulus")
-    return np.array([g.data for g in matrices], dtype=_dtype(modulus)).reshape(
+    return np.array([g.data for g in matrices], dtype=_dtype(size, modulus)).reshape(
         len(matrices), size * (size - 1) // 2
     )
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, size: int, modulus: int) -> np.ndarray:
-    """Row-wise products of two equal-shape stacks of matrices."""
+    """Row-wise products of two equal-shape stacks of matrices.
+
+    Each entry sums its unreduced products and is reduced once.
+    """
     out = np.empty_like(a)
     for t, mids in enumerate(_mul_program(size)):
         acc = a[..., t] + b[..., t]
         for u, v in mids:
-            acc = acc + a[..., u] * b[..., v] % modulus
+            acc += a[..., u] * b[..., v]
         out[..., t] = acc % modulus
     return out
 
@@ -300,15 +307,15 @@ def _inverse_rows(a: np.ndarray, size: int, modulus: int) -> np.ndarray:
     """Row-wise inverses by back-substitution, in order of the span j - i.
 
     X = A^-1 has x_ij = -(a_ij + sum_{i<k<j} a_ik x_kj), and every x_kj
-    on the right has a shorter span than (i, j).
+    on the right has a shorter span than (i, j); each entry is reduced once.
     """
     pairs = _upper_pairs(size)
     prog = _mul_program(size)
     x = np.empty_like(a)
     for t in sorted(range(len(pairs)), key=lambda t: pairs[t][1] - pairs[t][0]):
-        acc = a[..., t]
+        acc = a[..., t].copy()
         for u, v in prog[t]:
-            acc = acc + a[..., u] * x[..., v] % modulus
+            acc += a[..., u] * x[..., v]
         x[..., t] = -acc % modulus
     return x
 
@@ -319,7 +326,10 @@ def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
     A row is X = I + N with N strictly upper triangular, so N^size = 0
     and X^k = I + sum over 1 <= j < size of C(k, j) N^j.  That takes at
     most size - 2 products for any k; each N^j comes from one
-    ``_mul_rows`` call, as (I + A)(I + B) = I + A + B + AB.
+    ``_mul_rows`` call, as (I + A)(I + B) = I + A + B + AB.  The series
+    stops at the first N^j that is zero in every row: when N vanishes
+    below its L-th superdiagonal, as for the image of a commutator of L
+    letters, N^j = 0 once jL >= size.
     """
     result = a * (k % modulus)  # the j = 1 term; zero when k = 0
     result %= modulus
@@ -327,6 +337,8 @@ def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
     for j in range(2, min(k, size - 1) + 1):
         term = _mul_rows(term, a, size, modulus) - term - a
         term %= modulus
+        if not term.any():
+            break
         step = term * (math.comb(k, j) % modulus)
         step %= modulus
         result += step
@@ -350,40 +362,59 @@ def iota_rows(n: int, s: int, rows: np.ndarray, modulus: int) -> np.ndarray:
     return np.where(central & (c % shift == 0), c // shift, -1)
 
 
-def letter_rows(words: Sequence[Word], letter: int, modulus: int) -> np.ndarray:
-    """rho(w, x) of one letter x for every word w of one length, as a batch.
+def block_rows(rows: np.ndarray, size: int, k: int, modulus: int) -> np.ndarray:
+    """The top-left k x k block of every matrix in a (..., E) batch of ``size``.
+
+    Returns its strictly-upper entries in the layout of size k, reduced
+    mod ``modulus``, a divisor of the batch modulus.  On matrices that are
+    this block followed by the identity, taking the block and reducing
+    it are homomorphisms: the block of a product is the product of blocks.
+    """
+    index = [t for t, (_, j) in enumerate(_upper_pairs(size)) if j <= k]
+    return rows[..., index] % modulus
+
+
+def letter_rows(words: Sequence[Word], letter: int, size: int, modulus: int) -> np.ndarray:
+    """rho(w, x) of one letter x for every word w, as a batch of ``size``.
 
     Row k is I + sum over the positions i with w_i = x of E_{i,i+1}, in
-    the (K, E) layout of the row kernels.
+    the (K, E) layout of the row kernels.  Words may have any length up
+    to size - 1: a shorter word's superdiagonal is zero past its end, so
+    its matrix is its own (|w|+1)-block followed by the identity.
     """
-    s = len(words[0])
-    index = np.array([w.indices for w in words]).reshape(len(words), s)
-    pairs = _upper_pairs(s + 1)
-    out = np.zeros((len(words), len(pairs)), dtype=_dtype(modulus))
-    for i in range(s):
-        out[:, pairs.index((i + 1, i + 2))] = index[:, i] == letter
+    index = np.full((len(words), size - 1), -1)
+    for k, w in enumerate(words):
+        index[k, : len(w)] = w.indices
+    superdiagonal = [t for t, (i, j) in enumerate(_upper_pairs(size)) if j == i + 1]
+    out = np.zeros((len(words), size * (size - 1) // 2), dtype=_dtype(size, modulus))
+    out[:, superdiagonal] = index == letter
     return out
 
 
 def tau_power_rows(
     ws: Sequence[Word], words: Sequence[Word], n: int, p: int
 ) -> Iterator[tuple[list[Word], np.ndarray]]:
-    """rho(w', tau(w)**(p**(n-|w|))) mod p^(n-s+1) for w in ws and w' in words.
+    """rho(w', tau(w)**(p**(n-|w|))) for w in ws and w' in words, in one walk.
 
-    ``words`` share one length s; ws may mix lengths and repeat words,
-    in any order.  tau(w) is evaluated on the letter images of
-    ``letter_rows``, never expanded into a group word.  The ``tau_plan``
-    of ws is walked one word length at a time, in chunks of at most
-    ``BLOCK`` matrices (one word when its batch alone is larger): six
-    ``_mul_rows`` calls form [a, b] for every word of a chunk and [b, a]
-    for those that are factors of longer words.  A factor's (image,
-    inverse) pair is dropped after its last use.  The words of ws in a
-    chunk share their exponent, so each chunk is powered by one
-    ``_pow_rows`` call as soon as it is formed.  Yields (those words,
-    batch of shape (G, len(words), E)); each distinct word comes once.
+    ws and words may mix lengths and repeat words, in any order.  Every
+    w' is padded into one batch of size max|w'| + 1 over Z/p^(n-min|w'|+1)
+    (``letter_rows``); ``block_rows`` reads the (|w'|+1)-block of its
+    matrices mod p^(n-|w'|+1).  tau(w) is evaluated on the letter images,
+    never expanded into a group word.  The ``tau_plan`` of ws is walked
+    once, one word length at a time, in chunks of at most ``BLOCK``
+    matrices (one word when its batch alone is larger): six ``_mul_rows``
+    calls form [a, b] for every word of a chunk and [b, a] for those that
+    are factors of longer words.  A factor's (image, inverse) pair is
+    stored as int32 when the modulus allows, widened as it is gathered,
+    and dropped after its last use.  The words of ws in a chunk share
+    their exponent, so each chunk is powered by one ``_pow_rows`` call as
+    soon as it is formed.  Yields (those words, batch of shape
+    (G, len(words), E)); each distinct word comes once.
     """
-    s = len(words[0])
-    size, modulus = s + 1, p ** (n - s + 1)
+    size = max(map(len, words)) + 1
+    modulus = p ** (n - min(map(len, words)) + 1)
+    dtype = _dtype(size, modulus)
+    stored = np.int32 if modulus <= 2**31 else dtype
     chunk = max(1, BLOCK // len(words))
     wanted = set(ws)
 
@@ -394,7 +425,7 @@ def tau_power_rows(
         # [a, b] = ((a^-1 b^-1) a) b with a the factor u of each step; each
         # stack is gathered just before its product, so at most three live.
         def gather(side: int, part: int) -> np.ndarray:
-            return np.stack([pairs[step.factors[side]][part] for step in steps])
+            return np.stack([pairs[step.factors[side]][part] for step in steps], dtype=dtype)
 
         return mul(mul(mul(gather(u, 1), gather(1 - u, 1)), gather(u, 0)), gather(1 - u, 0))
 
@@ -406,7 +437,7 @@ def tau_power_rows(
             steps = level[start : start + chunk]
             if length == 1:
                 image = np.stack(
-                    [letter_rows(words, step.word.indices[0], modulus) for step in steps]
+                    [letter_rows(words, step.word.indices[0], size, modulus) for step in steps]
                 )
             else:
                 image = bracket(steps, 0)
@@ -417,8 +448,9 @@ def tau_power_rows(
                     if length == 1
                     else bracket(factors, 1)
                 )
-                for r, step in enumerate(factors):
-                    pairs[step.word] = (image[r], inverse[r])
+                kept = zip(image[: len(factors)].astype(stored), inverse.astype(stored))
+                for step, pair in zip(factors, kept):
+                    pairs[step.word] = pair
                     expiring.setdefault(step.last_use, []).append(step.word)
             hits = [r for r, step in enumerate(steps) if step.word in wanted]
             if hits:

@@ -2,46 +2,110 @@
 
 ``pairing_rows(ws, words, n, p)`` pairs each generator tau(w)^(p^(n-|w|))
 of the n-th lower p-central layer, w Lyndon, against the coefficient
-functional of each word w'.  Both routes walk the same tau recursion
-(``freegrp.tau_plan``) one word length at a time, homomorphically in a
-different target group, place rows through a word -> row map (so ws may
-repeat words, in any order) and raise unipotent elements by the binomial
-series, so p^(n-|w|) costs at most n products; neither expands a
-generator into a group word and neither reads ``magnus`` or ``rho``:
+functional of each word w'.  Each route walks the tau recursion
+(``freegrp.tau_plan``) once per request, one word length at a time,
+homomorphically in its own target group, places rows through a word ->
+row map (so ws may repeat words, in any order) and raises unipotent
+elements by the binomial series, so p^(n-|w|) costs at most n products;
+neither expands a generator into a group word and neither reads
+``magnus`` or ``rho``:
 
-- series route: tau(w) on the letter series 1 + x over Z/p^n
-  (``freegrp.tau_images``), raised to p^(n-|w|) by ``series_pow`` as
-  soon as it is formed, once per distinct word; each coefficient of w'
-  is read mod p^(n-s'+1), divided by p^(n-s') and taken mod p;
-- matrix route: tau(w) on the letter matrices I + sum E_{i,i+1} of every
-  w' of one length s', on the row kernels of ``matgrp``
-  (``tau_power_rows``): all words w of one length form one stack, so a
-  whole level of the recursion costs a handful of kernel calls; the
-  power must land in the central subgroup read by ``iota``.
+- series route: tau(w) - 1 on the letter series 1 + x over Z/p^n, as a
+  plain coefficient map (``_tau_parts``): [a, b] - 1 = a^-1 b^-1 (AB - BA)
+  with A = a - 1, B = b - 1, and AB - BA starts at degree |w|, so only
+  the low degrees of the inverses are kept.  Each image is raised to
+  p^(n-|w|) by ``series_pow`` as soon as it is formed; each coefficient
+  of w' is read mod p^(n-s'+1), divided by p^(n-s') and taken mod p;
+- matrix route: tau(w) as ((a^-1 b^-1) a) b on the letter matrices
+  I + sum E_{i,i+1} of every w', all lengths padded into one batch, on
+  the row kernels of ``matgrp`` (``tau_power_rows``): all words w of one
+  length form one stack, so a whole level of the recursion costs a
+  handful of kernel calls.  Each w' reads its own block mod p^(n-s'+1)
+  (``block_rows``), and the power must land in the central subgroup
+  read by ``iota``.
 
-A divisibility failure, a non-central matrix or a disagreement between
-the routes is a :class:`ConsistencyError` naming the pair, never a
-silent zero.  ``pairing_matrix`` is the rows over Lyndon words in
-preceq order; it must come out unipotent upper-triangular, and its
-inverse mod p is the change of basis that makes the generator family
-and the functional family exactly dual.
+The two routes use different formulas for the commutator, so a slip in
+the truncation of one is caught by the other.  A divisibility failure, a
+non-central matrix or a disagreement between the routes is a
+:class:`ConsistencyError` naming the pair, never a silent zero.
+``pairing_matrix`` is the rows over Lyndon words in preceq order; it
+must come out unipotent upper-triangular, and its inverse mod p is the
+change of basis that makes the generator family and the functional
+family exactly dual.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .freegrp import tau_images
+from .freegrp import tau_plan
 from .linalg import inverse_mod_p
-from .matgrp import UnipotentMatrix, iota, iota_rows, tau_power_rows
-from .series import TruncatedSeries, balanced, is_prime, series_invert, series_pow
+from .matgrp import UnipotentMatrix, block_rows, iota, iota_rows, tau_power_rows
+from .series import TruncatedSeries, WordKey, balanced, is_prime, series_pow
 from .words import Alphabet, Word, is_lyndon, lyndon_words, necklace
+
+Series = dict[WordKey, int]  # a truncated series by its nonzero coefficients
+
+
+def _combine(
+    terms: Iterable[tuple[int, Series, Series]], degree: int, modulus: int
+) -> Series:
+    """The sum of c f g over (c, f, g) in terms, truncated above degree, mod modulus."""
+    out: Series = {}
+    for c, f, g in terms:
+        items = sorted(g.items(), key=lambda item: len(item[0]))
+        lengths = [len(v) for v, _ in items]
+        for u, cu in f.items():
+            for v, cv in items[: bisect_right(lengths, degree - len(u))]:
+                w = u + v
+                out[w] = out.get(w, 0) + c * cu * cv
+    return {w: r for w, c in out.items() if (r := c % modulus)}
+
+
+def _tau_parts(ws: Sequence[Word], degree: int, modulus: int) -> Iterator[tuple[Word, Series]]:
+    """(w, tau(w) - 1) on the letter series 1 + x, for each distinct word of ws.
+
+    Walks ``tau_plan`` one word length at a time on augmentation parts:
+    with A = a - 1 and B = b - 1, [a, b] = 1 + a^-1 b^-1 (AB - BA), and
+    AB - BA starts at degree |w|, so a^-1 b^-1 is only needed up to
+    degree - |w|.  A factor u keeps its inverse only up to degree -
+    |u| - 1, as far as any longer word reads it, from [a, b]^-1 =
+    1 - b^-1 a^-1 (AB - BA); its pair is dropped after its last use.
+    Each distinct word is yielded once, as soon as it is formed.
+    """
+    wanted = set(ws)
+    one: Series = {(): 1}
+    pairs: dict[Word, tuple[Series, Series]] = {}  # factor -> (a - 1, a^-1)
+    expiring: dict[int, list[Word]] = {}  # last use -> factors to drop after it
+    for length, level in itertools.groupby(tau_plan(ws), key=lambda step: len(step.word)):
+        room = degree - length - 1  # how far a factor's inverse is read
+        for step in level:
+            if step.factors is None:
+                x = step.word.indices
+                part = {x: 1}
+                inverse = {x * j: (-1) ** j % modulus for j in range(room + 1)}
+            else:
+                (a, a_inv), (b, b_inv) = (pairs[u] for u in step.factors)
+                k = _combine([(1, a, b), (-1, b, a)], degree, modulus)  # AB - BA
+                left = _combine([(1, a_inv, b_inv)], degree - length, modulus)
+                part = _combine([(1, left, k)], degree, modulus)
+                if step.last_use:
+                    right = _combine([(1, b_inv, a_inv)], room - length, modulus)
+                    # 1 - b^-1 a^-1 (AB - BA), empty where room < 0
+                    inverse = _combine([(1, one, one), (-1, right, k)], room, modulus)
+            if step.last_use:
+                pairs[step.word] = (part, inverse)
+                expiring.setdefault(step.last_use, []).append(step.word)
+            if step.word in wanted:
+                yield step.word, part
+        for u in expiring.pop(length, ()):
+            del pairs[u]
 
 
 def _series_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:
@@ -53,13 +117,8 @@ def _series_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> n
     keys = [v.indices for v in words]
     row = {w: i for i, w in enumerate(ws)}  # one row per distinct word
     out = np.zeros((len(ws), len(words)), dtype=np.int64)
-    images = tau_images(
-        ws,
-        lambda x: TruncatedSeries(alphabet, modulus, degree, {(): 1, (x,): 1}),
-        operator.mul,
-        series_invert,
-    )
-    for w, image in images:
+    for w, part in _tau_parts(ws, degree, modulus):
+        image = TruncatedSeries(alphabet, modulus, degree, {(): 1, **part})
         f = series_pow(image, p ** (n - len(w)))
         c = np.array([f.coeffs.get(key, 0) for key in keys], dtype=object) % moduli
         bad = np.flatnonzero(c % shifts)
@@ -75,27 +134,32 @@ def _series_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> n
 
 
 def _matrix_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:
-    """The pairing values read by ``iota`` off batches of unipotent matrices."""
+    """The pairing values read by ``iota`` off one batch of unipotent matrices."""
     row = {w: i for i, w in enumerate(ws)}  # one row per distinct word
     out = np.zeros((len(ws), len(words)), dtype=np.int64)
+    size = max(len(v) for v in words) + 1
     by_length = sorted(range(len(words)), key=lambda j: len(words[j]))
-    for s, group in itertools.groupby(by_length, key=lambda j: len(words[j])):
-        cols = list(group)
-        batch_words = [words[j] for j in cols]
-        modulus = p ** (n - s + 1)
-        for done, batch in tau_power_rows(ws, batch_words, n, p):
-            values = iota_rows(n, s, batch, modulus)
+    columns = [
+        (s, list(group))
+        for s, group in itertools.groupby(by_length, key=lambda j: len(words[j]))
+    ]
+    for done, batch in tau_power_rows(ws, words, n, p):
+        rows = [row[w] for w in done]
+        for s, cols in columns:
+            modulus = p ** (n - s + 1)
+            block = block_rows(batch[:, cols], size, s + 1, modulus)
+            values = iota_rows(n, s, block, modulus)
             bad = np.argwhere(values < 0)
             if len(bad):
                 g, k = bad[0]
-                w, w_prime = done[g], batch_words[k]
+                w, w_prime = done[g], words[cols[k]]
                 try:
-                    iota(n, s, UnipotentMatrix(s + 1, modulus, batch[g, k].tolist()))
+                    iota(n, s, UnipotentMatrix(s + 1, modulus, block[g, k].tolist()))
                 except ValueError as exc:
                     raise ConsistencyError(
                         f"matrix route failed for <{w}, {w_prime}>_{n}: {exc}"
                     ) from exc
-            out[np.ix_([row[w] for w in done], cols)] = values
+            out[np.ix_(rows, cols)] = values
     return out[[row[w] for w in ws]]
 
 

@@ -95,6 +95,10 @@ class Word:
         if any(not (0 <= i < m) for i in self.indices):
             raise ValueError("letter index out of range")
 
+    def __hash__(self) -> int:
+        # Consistent with the generated equality, without hashing the alphabet.
+        return hash(self.indices)
+
     def __len__(self) -> int:
         return len(self.indices)
 

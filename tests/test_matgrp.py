@@ -1,5 +1,7 @@
 """Unipotent matrices, rho, iota, and the brute-force filtration engine."""
 
+import itertools
+import math
 import operator
 import random
 
@@ -14,6 +16,7 @@ from lynmag.freegrp import GroupWord, parse_group_word, power, tau
 from lynmag.matgrp import (
     FiniteGroupTable,
     UnipotentMatrix,
+    block_rows,
     generate_group,
     iota,
     iota_rows,
@@ -262,29 +265,40 @@ class TestPairingBatches:
     """The batch functions behind the matrix route of the pairing."""
 
     def test_letter_rows_are_rho_of_letters(self):
-        words = [XY.word(t) for t in ("xyx", "yyx", "xxx", "yyy")]
+        # mixed lengths in one batch of size 4: each word's block, then I
+        words = [XY.word(t) for t in ("xyx", "yy", "xxx", "y")]
         for letter, name in enumerate("xy"):
             g = parse_group_word(XY, name)
-            rows = letter_rows(words, letter, 9)
-            assert [tuple(r) for r in rows.tolist()] == [
-                rho_reference(w, g, 9).data for w in words
-            ]
+            rows = letter_rows(words, letter, 4, 9)
+            assert rows.shape == (4, 6)
+            for w, r in zip(words, rows):
+                assert tuple(block_rows(r, 4, len(w) + 1, 9).tolist()) == rho_reference(w, g, 9).data
+                assert tuple(r.tolist()) == UnipotentMatrix.from_entries(4, 9, {
+                    (i, i + 1): 1 for i in range(1, len(w) + 1) if w.indices[i - 1] == letter
+                }).data
+
+    @staticmethod
+    def assert_blocks_are_rho_of_powers(done, batch, words, n, p):
+        # each w' reads its (|w'|+1)-block mod p^(n-|w'|+1) off the shared batch
+        size = max(map(len, words)) + 1
+        assert batch.shape == (len(done), len(words), size * (size - 1) // 2)
+        for w, rows in zip(done, batch):
+            g = tau(w) ** p ** (n - len(w))
+            for v, r in zip(words, rows):
+                modulus = p ** (n - len(v) + 1)
+                block = block_rows(r, size, len(v) + 1, modulus)
+                assert tuple(block.tolist()) == rho_reference(v, g, modulus).data
 
     @pytest.mark.parametrize("block", [4096, 5])
     def test_tau_power_rows_are_rho_of_powers(self, block, monkeypatch):
         monkeypatch.setattr(matgrp, "BLOCK", block)
         ws = lyndon_words(XY, 4)
-        words = [XY.word(t) for t in ("xyx", "xxy", "yyx", "xyy")]
+        words = [XY.word(t) for t in ("xyx", "x", "xxy", "yy", "yyx", "xyy", "yx")]
         seen = []
-        # n = 5, p = 3: tau(w) ** 3**(5-|w|) on words of length 3, mod 3^3
+        # n = 5, p = 3: tau(w) ** 3**(5-|w|), one batch of size 4 mod 3^5
         for done, batch in tau_power_rows(ws, words, 5, 3):
-            assert batch.shape == (len(done), len(words), 6)
             assert len({len(w) for w in done}) == 1
-            for w, rows in zip(done, batch):
-                g = tau(w) ** 3 ** (5 - len(w))
-                assert [tuple(r) for r in rows.tolist()] == [
-                    rho_reference(v, g, 27).data for v in words
-                ]
+            self.assert_blocks_are_rho_of_powers(done, batch, words, 5, 3)
             seen += done
         assert sorted(seen, key=str) == sorted(ws, key=str)
 
@@ -293,29 +307,48 @@ class TestPairingBatches:
         monkeypatch.setattr(matgrp, "BLOCK", block)
         names = ["xyy", "x", "xy", "y", "x", "xxy", "xy", "xyy", "y", "xy", "x"]
         ws = [XY.word(t) for t in names]
-        words = [XY.word(t) for t in ("xyx", "xxy")]
+        words = [XY.word(t) for t in ("xyx", "y", "xxy", "xy")]
         seen = []
         for done, batch in tau_power_rows(ws, words, 5, 3):
-            assert batch.shape == (len(done), len(words), 6)
             assert len(done) * len(words) <= max(block, len(words))
-            for w, rows in zip(done, batch):
-                g = tau(w) ** 3 ** (5 - len(w))
-                assert [tuple(r) for r in rows.tolist()] == [
-                    rho_reference(v, g, 27).data for v in words
-                ]
+            self.assert_blocks_are_rho_of_powers(done, batch, words, 5, 3)
             seen += done
         # each distinct word once, however often ws repeats it
         assert sorted(map(str, seen)) == sorted(set(names))
 
+    @pytest.mark.parametrize("n, p", [(4, 3), (5, 13), (9, 13)])
+    def test_one_walk_matches_walks_per_length(self, n, p):
+        # One batch for all lengths reads the same blocks as one walk per
+        # length, each of size s+1 mod p^(n-s+1); 13^9 takes exact ints.
+        ws = lyndon_words(XYZ, 3)
+        words = [XYZ.word(t) for t in ("z", "xy", "zx", "xyz", "yzx", "x", "xzy")]
+        size = 4
+        mixed = {}
+        for done, batch in tau_power_rows(ws, words, n, p):
+            mixed.update(zip(done, batch))
+        for s in (1, 2, 3):
+            cols = [k for k, v in enumerate(words) if len(v) == s]
+            modulus = p ** (n - s + 1)
+            walks = 0
+            for done, batch in tau_power_rows(ws, [words[k] for k in cols], n, p):
+                for w, rows in zip(done, batch):
+                    want = block_rows(mixed[w][cols], size, s + 1, modulus)
+                    assert rows.tolist() == want.tolist()
+                    walks += 1
+            assert walks == len(ws)
+
     def test_kernel_calls_per_level_not_per_word(self, monkeypatch):
-        # Each word length s of the xyz n=5 p=7 matrix costs at most 6 calls
-        # per level of the tau recursion (3 at the top, with no factors to
-        # invert) and s - 1 per power: 5*21 + 4*(0 + 1 + 2 + 3 + 4) = 145.
+        # The xyz n=5 p=7 matrix walks the tau recursion once, on one batch
+        # of size 6: 6 calls per level from 2 to 4, 3 at the top (no
+        # factors to invert), none for letters.  A power stops at the first
+        # N^j that vanishes, and a weight-L image has N^j = 0 once jL >= 6:
+        # levels 1 to 4 take 4, 2, 1 and 1 calls, the top level's exponent
+        # 1 none.  3*6 + 3 + 4 + 2 + 1 + 1 = 29.
         calls = []
         real = matgrp._mul_rows
         monkeypatch.setattr(matgrp, "_mul_rows", lambda *args: calls.append(1) or real(*args))
         pairing_matrix(5, 7, XYZ)
-        assert len(calls) <= 145
+        assert len(calls) <= 29
 
     def test_iota_rows_match_iota(self):
         rng = random.Random(4)
@@ -473,6 +506,29 @@ class TestBatchedKernel:
         assert matgrp._pow_rows(a, 7, 4, big).tolist() == [
             list(scalar_power(x, 7).data) for x in xs
         ]
+
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_single_reduction_at_the_dtype_switch(self, size):
+        # An entry sums up to size unreduced products of residues before its
+        # one reduction: the largest prime whose sums fit int64, and the
+        # smallest prime above it, which must take exact ints.  (A power of
+        # 2 would hide an overflow, which wraps mod 2^64.)
+        limit = math.isqrt(np.iinfo(np.int64).max // size) + 1
+        below = next(m for m in range(limit, 0, -1) if series.is_prime(m))
+        above = next(m for m in itertools.count(limit + 1) if series.is_prime(m))
+        rng = random.Random(size)
+        entries = size * (size - 1) // 2
+        for modulus, dtype in ((below, np.int64), (above, object)):
+            # the all-(m-1) matrix makes every unreduced sum as large as it gets
+            xs = [UnipotentMatrix(size, modulus, [modulus - 1] * entries)]
+            xs += [UnipotentMatrix(size, modulus, [rng.randrange(modulus) for _ in range(entries)])
+                   for _ in range(4)]
+            a = matgrp._rows(xs, size, modulus)
+            assert a.dtype == dtype
+            assert matgrp._mul_rows(a, a[::-1], size, modulus).tolist() == [
+                list((x * y).data) for x, y in zip(xs, xs[::-1])
+            ]
+            assert_inverses(matgrp._inverse_rows(a, size, modulus), xs)
 
     def test_unique_rows_sorts_lexicographically(self):
         rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1]])

@@ -278,6 +278,8 @@ class TestRowsAgainstReference:
         want = pairing_rows(ws, words, 2, 13)
         assert np.array_equal(pairing_rows(ws, words, 9, 13), want)
         assert want[2].tolist() == [0, 0, 1, 12, 0]
+        # 2^31: factor pairs fit int32, but products of size 3 need exact ints
+        assert np.array_equal(pairing_rows(ws, words, 31, 2), pairing_rows(ws, words, 2, 2))
 
     def test_repeated_unsorted_words(self):
         # Each route evaluates a repeated word once and fills every row of it.
@@ -292,6 +294,22 @@ class TestRowsAgainstReference:
     def test_empty_requests(self):
         assert pairing_rows([], [XY.word("x")], 2, 3).shape == (0, 1)
         assert pairing_rows([XY.word("x")], [], 2, 3).shape == (1, 0)
+
+
+class TestSeriesWalk:
+    """The series route's walk of the tau recursion on augmentation parts."""
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    @pytest.mark.parametrize("modulus", [9, 125, 2**70])
+    def test_parts_are_magnus_of_tau(self, degree, modulus):
+        # degree below |w| leaves factor inverses truncated below degree 0
+        ws = lyndon_words(XYZ, 5)
+        got = dict(PAIRING._tau_parts(ws[::-1] + ws[:3], degree, modulus))
+        assert set(got) == set(ws)
+        for w in ws:
+            want = dict(magnus(tau(w), modulus, degree).coeffs)
+            del want[()]
+            assert got[w] == want, w
 
 
 class TestFaultInjection:
@@ -323,11 +341,22 @@ class TestFaultInjection:
         ):
             pairing(XY.word("x"), XY.word("x"), 3, 3)
 
+    def test_series_route_truncated_short(self, monkeypatch):
+        # every product of the series walk drops its top degree
+        real = PAIRING._combine
+
+        def short(terms, degree, modulus):
+            return real(terms, degree - 1, modulus)
+
+        monkeypatch.setattr(PAIRING, "_combine", short)
+        with pytest.raises(ConsistencyError, match=r"routes disagree for <xxy, xxy>_3: series 0, matrix 1"):
+            pairing_matrix(3, 3, XY)
+
     def test_matrix_route_letter_image(self, monkeypatch):
         real = lynmag.matgrp.letter_rows
 
-        def doubled(words, letter, modulus):
-            return 2 * real(words, letter, modulus) % modulus
+        def doubled(words, letter, size, modulus):
+            return 2 * real(words, letter, size, modulus) % modulus
 
         monkeypatch.setattr(lynmag.matgrp, "letter_rows", doubled)
         with pytest.raises(ConsistencyError, match=r"routes disagree for <x, x>_3: series 1, matrix 2"):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
-from .words import Alphabet, Word, is_lyndon, lyndon_words, standard_factorization
+from .words import Alphabet, Word, _standard_cut, is_lyndon, lyndon_words
 
 Syllable = tuple[int, int]
 T = TypeVar("T")
@@ -136,22 +136,32 @@ def tau_plan(words: Iterable[Word]) -> list[TauStep]:
     alphabetically), so both factors of a word come before it.  A word
     with a nonzero ``last_use`` is a factor of a longer word: only those
     need their inverse, and only until the words of that length are formed.
+    The given words are checked to be Lyndon; their factors are Lyndon by
+    construction and are split unchecked.
     """
-    factors: dict[Word, Optional[tuple[Word, Word]]] = {}
+    cuts: dict[tuple[int, ...], int] = {}  # letter indices -> cut; 0 for a letter
+    given: dict[tuple[int, ...], Word] = {}
+    alphabet = None
 
-    def visit(u: Word) -> None:
-        if u not in factors:
-            factors[u] = standard_factorization(u) if len(u) > 1 else None
-            for f in factors[u] or ():
-                visit(f)
+    def visit(u: tuple[int, ...]) -> None:
+        if u not in cuts:
+            cuts[u] = cut = _standard_cut(u) if len(u) > 1 else 0
+            if cut:
+                visit(u[:cut])
+                visit(u[cut:])
 
     for w in words:
-        if not is_lyndon(w):
-            raise ValueError(f"{w!r} is not a Lyndon word")
-        visit(w)
-    order = sorted(factors, key=lambda u: (len(u), u.indices))
-    last_use = {f: len(u) for u in order for f in factors[u] or ()}
-    return [TauStep(u, factors[u], last_use.get(u, 0)) for u in order]
+        if w.indices not in given:
+            if not is_lyndon(w):
+                raise ValueError(f"{w!r} is not a Lyndon word")
+            given[w.indices] = w
+            alphabet = w.alphabet
+            visit(w.indices)
+    order = sorted(cuts, key=lambda u: (len(u), u))
+    word = {u: given[u] if u in given else Word(alphabet, u) for u in order}
+    factors = {u: (word[u[:c]], word[u[c:]]) if (c := cuts[u]) else None for u in order}
+    last_use = {f.indices: len(u) for u in order for f in factors[u] or ()}
+    return [TauStep(word[u], factors[u], last_use.get(u, 0)) for u in order]
 
 
 def tau_images(

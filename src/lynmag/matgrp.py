@@ -5,23 +5,25 @@ implicitly 1), in the row-major ``_upper_pairs`` layout.  One matrix at
 a time it is a ``UnipotentMatrix`` holding a flat tuple, which keeps it
 hashable; ``rho``, ``iota`` and the verification checks use these.
 
-Whole blocks of matrices are rows of an (N, E) array, E = size*(size-1)/2,
-and private kernels form their row-wise products, inverses and powers.
-Products and inverses sum each entry's products unreduced and reduce
-once.  Powers use the binomial series of I + N, so any exponent costs at
-most size - 2 products.  Entries are int64 when size products of two
-residues fit, and exact Python ints otherwise.  A single matrix is
-inverted and powered by the same kernels, as a block of one row; only
-its product keeps a scalar loop, which is faster on one matrix.
+Whole stacks of matrices are entry-major (E, ...) arrays, E =
+size*(size-1)/2: row t holds entry t of every matrix, contiguously, and
+private kernels form their matrix-wise products, inverses and powers one
+entry row at a time.  Products and inverses sum each entry's products
+unreduced, through one preallocated temporary, and reduce once.  Powers
+use the binomial series of I + N, so any exponent costs at most size - 2
+products.  Entries are int64 when size products of two residues fit, and
+exact Python ints otherwise.  A single matrix is inverted and powered by
+the same kernels, as a stack of one; only its product keeps a scalar
+loop, which is faster on one matrix.
 
 The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
 forms at most ``BLOCK`` products per kernel call, which bounds memory.
 The matrix route of the duality pairing runs on the same kernels:
-``tau_power_rows`` walks the ``tau_plan`` of many Lyndon words once, one
-word length at a time, on the letter images ``letter_rows`` of words w'
-of every length at once, padded into one batch; ``block_rows`` cuts out
-the block of each w' and ``iota_rows`` reads the central coordinate of a
-whole batch.
+``tau_power_rows`` walks a ``tau_plan`` once, one word length at a time,
+on the letter images ``letter_rows`` of words w' of every length at
+once, padded into one batch; ``block_rows`` cuts out any diagonal block,
+so a word can be read off the block of a longer word it is an infix of,
+and ``iota_rows`` reads the central coordinate of a whole batch.
 
 ``rho`` builds the unipotent representation attached to a word from
 closed-form syllable images; the (i, j) entry of the image of g is the
@@ -39,7 +41,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .freegrp import GroupWord, TauStep, tau_plan
+from .freegrp import GroupWord, TauStep
 from .series import is_prime, prime_power
 from .words import Word
 
@@ -151,7 +153,7 @@ class UnipotentMatrix:
         a = _rows([self], size, modulus)
         if k < 0:
             a = _inverse_rows(a, size, modulus)
-        return UnipotentMatrix(size, modulus, _pow_rows(a, abs(k), size, modulus)[0].tolist())
+        return UnipotentMatrix(size, modulus, _pow_rows(a, abs(k), size, modulus)[:, 0].tolist())
 
     def is_identity(self) -> bool:
         return not any(self.data)
@@ -281,30 +283,33 @@ def _dtype(size: int, modulus: int):
 
 
 def _rows(matrices: Sequence[UnipotentMatrix], size: int, modulus: int) -> np.ndarray:
-    """Stack matrices of one size and modulus as the rows of an (N, E) array."""
+    """Stack matrices of one size and modulus entry-major, as an (E, N) array."""
     if any(g.size != size or g.modulus != modulus for g in matrices):
         raise ValueError("matrices must share size and modulus")
-    return np.array([g.data for g in matrices], dtype=_dtype(size, modulus)).reshape(
-        len(matrices), size * (size - 1) // 2
-    )
+    data = np.array([g.data for g in matrices], dtype=_dtype(size, modulus))
+    return np.ascontiguousarray(data.reshape(len(matrices), size * (size - 1) // 2).T)
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, size: int, modulus: int) -> np.ndarray:
-    """Row-wise products of two equal-shape stacks of matrices.
+    """Matrix-wise products of two equal-shape entry-major stacks.
 
-    Each entry sums its unreduced products and is reduced once.
+    Entry t of AB is a_t + b_t + the sum of a_u b_v over its mids; the
+    products go through one temporary into the unreduced sum, and the
+    whole result is reduced once.
     """
-    out = np.empty_like(a)
+    out = a + b
+    tmp = np.empty(out.shape[1:], dtype=out.dtype)
     for t, mids in enumerate(_mul_program(size)):
-        acc = a[..., t] + b[..., t]
+        acc = out[t]
         for u, v in mids:
-            acc += a[..., u] * b[..., v]
-        out[..., t] = acc % modulus
+            np.multiply(a[u], b[v], out=tmp)
+            acc += tmp
+    out %= modulus
     return out
 
 
 def _inverse_rows(a: np.ndarray, size: int, modulus: int) -> np.ndarray:
-    """Row-wise inverses by back-substitution, in order of the span j - i.
+    """Matrix-wise inverses by back-substitution, in order of the span j - i.
 
     X = A^-1 has x_ij = -(a_ij + sum_{i<k<j} a_ik x_kj), and every x_kj
     on the right has a shorter span than (i, j); each entry is reduced once.
@@ -312,22 +317,26 @@ def _inverse_rows(a: np.ndarray, size: int, modulus: int) -> np.ndarray:
     pairs = _upper_pairs(size)
     prog = _mul_program(size)
     x = np.empty_like(a)
+    tmp = np.empty(a.shape[1:], dtype=a.dtype)
     for t in sorted(range(len(pairs)), key=lambda t: pairs[t][1] - pairs[t][0]):
-        acc = a[..., t].copy()
+        acc = x[t]
+        acc[...] = a[t]
         for u, v in prog[t]:
-            acc += a[..., u] * x[..., v]
-        x[..., t] = -acc % modulus
+            np.multiply(a[u], x[v], out=tmp)
+            acc += tmp
+        np.negative(acc, out=acc)
+        acc %= modulus
     return x
 
 
 def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
-    """Row-wise k-th powers, k >= 0, by the binomial series.
+    """Matrix-wise k-th powers of an entry-major stack, k >= 0, by the binomial series.
 
-    A row is X = I + N with N strictly upper triangular, so N^size = 0
+    A matrix is X = I + N with N strictly upper triangular, so N^size = 0
     and X^k = I + sum over 1 <= j < size of C(k, j) N^j.  That takes at
     most size - 2 products for any k; each N^j comes from one
     ``_mul_rows`` call, as (I + A)(I + B) = I + A + B + AB.  The series
-    stops at the first N^j that is zero in every row: when N vanishes
+    stops at the first N^j that is zero in every matrix: when N vanishes
     below its L-th superdiagonal, as for the image of a commutator of L
     letters, N^j = 0 once jL >= size.
     """
@@ -347,72 +356,76 @@ def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
 
 
 def iota_rows(n: int, s: int, rows: np.ndarray, modulus: int) -> np.ndarray:
-    """``iota`` of every matrix in a (..., E) batch of size s+1 over Z/modulus.
+    """``iota`` of every matrix in an entry-major (E, ...) batch of size s+1 over Z/modulus.
 
     Entries whose matrix ``iota`` would reject come out as -1; call
     ``iota`` on such a matrix for the reason.
     """
     p, k = prime_power(modulus)
-    if not (1 <= s <= n and k == n - s + 1 and rows.shape[-1] == s * (s + 1) // 2):
+    if not (1 <= s <= n and k == n - s + 1 and len(rows) == s * (s + 1) // 2):
         raise ValueError(f"a batch of size {s + 1} mod {modulus} does not match n={n}")
     corner = s - 1  # (1, s+1) ends the first row of the layout
     shift = p ** (n - s)
-    c = rows[..., corner]
-    central = ~np.delete(rows, corner, axis=-1).any(axis=-1)
+    c = rows[corner]
+    central = ~(rows[:corner].any(axis=0) | rows[corner + 1 :].any(axis=0))
     return np.where(central & (c % shift == 0), c // shift, -1)
 
 
-def block_rows(rows: np.ndarray, size: int, k: int, modulus: int) -> np.ndarray:
-    """The top-left k x k block of every matrix in a (..., E) batch of ``size``.
+def block_rows(rows: np.ndarray, size: int, start: int, k: int, modulus: int) -> np.ndarray:
+    """The k x k diagonal block from row start+1 of every matrix in an (E, ...) batch of ``size``.
 
     Returns its strictly-upper entries in the layout of size k, reduced
-    mod ``modulus``, a divisor of the batch modulus.  On matrices that are
-    this block followed by the identity, taking the block and reducing
-    it are homomorphisms: the block of a product is the product of blocks.
+    mod ``modulus``, a divisor of the batch modulus.  On upper-triangular
+    matrices, taking a diagonal block and reducing it are homomorphisms:
+    the block of a product is the product of blocks.
     """
-    index = [t for t, (_, j) in enumerate(_upper_pairs(size)) if j <= k]
-    return rows[..., index] % modulus
+    index = [t for t, (i, j) in enumerate(_upper_pairs(size)) if start < i and j <= start + k]
+    return rows[index] % modulus
 
 
 def letter_rows(words: Sequence[Word], letter: int, size: int, modulus: int) -> np.ndarray:
-    """rho(w, x) of one letter x for every word w, as a batch of ``size``.
+    """rho(w, x) of one letter x for every word w, as an (E, K) batch of ``size``.
 
-    Row k is I + sum over the positions i with w_i = x of E_{i,i+1}, in
-    the (K, E) layout of the row kernels.  Words may have any length up
-    to size - 1: a shorter word's superdiagonal is zero past its end, so
-    its matrix is its own (|w|+1)-block followed by the identity.
+    Matrix k is I + sum over the positions i with w_i = x of E_{i,i+1}.
+    Words may have any length up to size - 1: a shorter word's
+    superdiagonal is zero past its end, so its matrix is its own
+    (|w|+1)-block followed by the identity.
     """
-    index = np.full((len(words), size - 1), -1)
+    index = np.full((size - 1, len(words)), -1)
     for k, w in enumerate(words):
-        index[k, : len(w)] = w.indices
+        index[: len(w), k] = w.indices
     superdiagonal = [t for t, (i, j) in enumerate(_upper_pairs(size)) if j == i + 1]
-    out = np.zeros((len(words), size * (size - 1) // 2), dtype=_dtype(size, modulus))
-    out[:, superdiagonal] = index == letter
+    out = np.zeros((size * (size - 1) // 2, len(words)), dtype=_dtype(size, modulus))
+    out[superdiagonal] = index == letter
     return out
 
 
 def tau_power_rows(
-    ws: Sequence[Word], words: Sequence[Word], n: int, p: int
+    plan: Sequence[TauStep],
+    ws: Iterable[Word],
+    words: Sequence[Word],
+    n: int,
+    p: int,
+    modulus: int,
 ) -> Iterator[tuple[list[Word], np.ndarray]]:
     """rho(w', tau(w)**(p**(n-|w|))) for w in ws and w' in words, in one walk.
 
-    ws and words may mix lengths and repeat words, in any order.  Every
-    w' is padded into one batch of size max|w'| + 1 over Z/p^(n-min|w'|+1)
-    (``letter_rows``); ``block_rows`` reads the (|w'|+1)-block of its
-    matrices mod p^(n-|w'|+1).  tau(w) is evaluated on the letter images,
-    never expanded into a group word.  The ``tau_plan`` of ws is walked
-    once, one word length at a time, in chunks of at most ``BLOCK``
-    matrices (one word when its batch alone is larger): six ``_mul_rows``
-    calls form [a, b] for every word of a chunk and [b, a] for those that
-    are factors of longer words.  A factor's (image, inverse) pair is
-    stored as int32 when the modulus allows, widened as it is gathered,
-    and dropped after its last use.  The words of ws in a chunk share
-    their exponent, so each chunk is powered by one ``_pow_rows`` call as
-    soon as it is formed.  Yields (those words, batch of shape
-    (G, len(words), E)); each distinct word comes once.
+    ``plan`` is the ``tau_plan`` of ws; ws and words may mix lengths and
+    repeat words, in any order.  Every w' is padded into one batch of
+    size max|w'| + 1 over Z/modulus (``letter_rows``), and ``block_rows``
+    reads its blocks mod any divisor of the modulus.  tau(w) is evaluated
+    on the letter images, never expanded into a group word.  The plan is
+    walked once, one word length at a time, in chunks of at most
+    ``BLOCK`` matrices (one word when its batch alone is larger): six
+    ``_mul_rows`` calls form [a, b] for every word of a chunk and [b, a]
+    for those that are factors of longer words.  A factor's (image,
+    inverse) pair is stored as int32 when the modulus allows, widened as
+    it is gathered, and dropped after its last use.  The words of ws in a
+    chunk share their exponent, so each chunk is powered by one
+    ``_pow_rows`` call as soon as it is formed.  Yields (those words,
+    batch of shape (E, G, len(words))); each distinct word comes once.
     """
     size = max(map(len, words)) + 1
-    modulus = p ** (n - min(map(len, words)) + 1)
     dtype = _dtype(size, modulus)
     stored = np.int32 if modulus <= 2**31 else dtype
     chunk = max(1, BLOCK // len(words))
@@ -425,37 +438,42 @@ def tau_power_rows(
         # [a, b] = ((a^-1 b^-1) a) b with a the factor u of each step; each
         # stack is gathered just before its product, so at most three live.
         def gather(side: int, part: int) -> np.ndarray:
-            return np.stack([pairs[step.factors[side]][part] for step in steps], dtype=dtype)
+            return np.stack(
+                [pairs[step.factors[side]][part] for step in steps], axis=1, dtype=dtype
+            )
 
         return mul(mul(mul(gather(u, 1), gather(1 - u, 1)), gather(u, 0)), gather(1 - u, 0))
 
     pairs: dict[Word, tuple[np.ndarray, np.ndarray]] = {}
     expiring: dict[int, list[Word]] = {}  # last use -> factors to drop after it
-    for length, level in groupby(tau_plan(ws), key=lambda step: len(step.word)):
+    for length, level in groupby(plan, key=lambda step: len(step.word)):
         level = sorted(level, key=lambda step: not step.last_use)  # factors first
         for start in range(0, len(level), chunk):
             steps = level[start : start + chunk]
             if length == 1:
                 image = np.stack(
-                    [letter_rows(words, step.word.indices[0], size, modulus) for step in steps]
+                    [letter_rows(words, step.word.indices[0], size, modulus) for step in steps],
+                    axis=1,
                 )
             else:
                 image = bracket(steps, 0)
             factors = [step for step in steps if step.last_use]
             if factors:
                 inverse = (
-                    _inverse_rows(image[: len(factors)], size, modulus)
+                    _inverse_rows(image[:, : len(factors)], size, modulus)
                     if length == 1
                     else bracket(factors, 1)
                 )
-                kept = zip(image[: len(factors)].astype(stored), inverse.astype(stored))
-                for step, pair in zip(factors, kept):
+                # one contiguous (E, K) image and inverse per factor
+                images = image[:, : len(factors)].swapaxes(0, 1).astype(stored, order="C")
+                inverses = inverse.swapaxes(0, 1).astype(stored, order="C")
+                for step, pair in zip(factors, zip(images, inverses)):
                     pairs[step.word] = pair
                     expiring.setdefault(step.last_use, []).append(step.word)
             hits = [r for r, step in enumerate(steps) if step.word in wanted]
             if hits:
-                # no copy when every row of the chunk is wanted
-                base = image if len(hits) == len(image) else image[hits]
+                # no copy when every matrix of the chunk is wanted
+                base = image if len(hits) == len(steps) else image[:, hits]
                 yield [steps[r].word for r in hits], _pow_rows(
                     base, p ** (n - length), size, modulus
                 )
@@ -464,13 +482,13 @@ def tau_power_rows(
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows, in lexicographic order."""
-    if not rows.shape[1]:
-        return rows[:1]
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    """The distinct matrices of an entry-major (E, N) stack, in lexicographic order."""
+    if not len(rows):
+        return rows[:, :1]
+    rows = rows[:, np.lexsort(rows[::-1])]
+    keep = np.ones(rows.shape[1], dtype=bool)
+    keep[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
+    return rows[:, keep]
 
 
 def _pair_blocks(n_a: int, n_b: int):
@@ -496,7 +514,7 @@ def generate_group(
     Each step has a fixed numpy cost of some tens of microseconds, so
     this is fast for wide, shallow closures (every group the checks
     build) and slower than scalar products for long cyclic chains: one
-    generator of order 2^16 takes 65,536 steps of one row each.
+    generator of order 2^16 takes 65,536 steps of one matrix each.
     """
     generators = list(generators)
     if generators:
@@ -505,19 +523,19 @@ def generate_group(
     elif size is None or modulus is None:
         raise ValueError("size and modulus required when no generators given")
     gens = _rows(generators, size, modulus)
-    width = gens.shape[1]
+    width = len(gens)
     seen = {(0,) * width}
-    frontier = np.zeros((1, width), dtype=gens.dtype)
-    while len(frontier):
+    frontier = np.zeros((width, 1), dtype=gens.dtype)
+    while frontier.shape[1]:
         new: list[tuple] = []
-        for i, j in _pair_blocks(len(frontier), len(gens)):
-            products = _unique_rows(_mul_rows(frontier[i], gens[j], size, modulus))
-            fresh = [r for r in map(tuple, products.tolist()) if r not in seen]
+        for i, j in _pair_blocks(frontier.shape[1], gens.shape[1]):
+            products = _unique_rows(_mul_rows(frontier[:, i], gens[:, j], size, modulus))
+            fresh = [r for r in map(tuple, products.T.tolist()) if r not in seen]
             if len(seen) + len(fresh) > MAX_ORDER:
                 raise ValueError(f"group order exceeds cap {MAX_ORDER}")
             seen.update(fresh)
             new += fresh
-        frontier = np.array(new, dtype=gens.dtype).reshape(len(new), width)
+        frontier = np.array(new, dtype=gens.dtype).reshape(len(new), width).T.copy()
     return FiniteGroupTable(UnipotentMatrix(size, modulus, d) for d in sorted(seen))
 
 
@@ -545,22 +563,23 @@ def lower_p_central(table: FiniteGroupTable, p: int, n: int) -> FiniteGroupTable
         gens = _unique_rows(
             np.concatenate(
                 [
-                    _pow_rows(term[start : start + BLOCK], p, size, modulus)
-                    for start in range(0, len(term), BLOCK)
-                ]
+                    _pow_rows(term[:, start : start + BLOCK], p, size, modulus)
+                    for start in range(0, term.shape[1], BLOCK)
+                ],
+                axis=1,
             )
         )
         term_inv = _inverse_rows(term, size, modulus)
-        for i, j in _pair_blocks(len(term), len(group)):
+        for i, j in _pair_blocks(term.shape[1], group.shape[1]):
             # [g, h] = (g^-1 h^-1)(g h) for g = group[j], h = term[i]
-            left = _mul_rows(group_inv[j], term_inv[i], size, modulus)
-            right = _mul_rows(group[j], term[i], size, modulus)
+            left = _mul_rows(group_inv[:, j], term_inv[:, i], size, modulus)
+            right = _mul_rows(group[:, j], term[:, i], size, modulus)
             gens = _unique_rows(
-                np.concatenate([gens, _mul_rows(left, right, size, modulus)])
+                np.concatenate([gens, _mul_rows(left, right, size, modulus)], axis=1)
             )
-        gens = gens[(gens != 0).any(axis=1)]
+        gens = gens[:, (gens != 0).any(axis=0)]
         current = generate_group(
-            [UnipotentMatrix(size, modulus, r) for r in gens.tolist()],
+            [UnipotentMatrix(size, modulus, r) for r in gens.T.tolist()],
             size=size,
             modulus=modulus,
         )

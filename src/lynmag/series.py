@@ -163,19 +163,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        cap = math.inf if self.degree is None else self.degree
-        by_len: dict[int, list[tuple[WordKey, int]]] = {}
-        for v, cv in other.coeffs.items():
-            by_len.setdefault(len(v), []).append((v, cv))
-        out: dict[WordKey, int] = {}
-        for u, cu in self.coeffs.items():
-            room = cap - len(u)
-            for length, items in by_len.items():
-                if length > room:
-                    continue
-                for v, cv in items:
-                    w = u + v
-                    out[w] = out.get(w, 0) + cu * cv
+        out = _mul_coeffs(self.coeffs, other.coeffs, self.degree)
         return TruncatedSeries(self.alphabet, self.modulus, self.degree, out)
 
     def terms(self) -> list[tuple[WordKey, int]]:
@@ -227,6 +215,26 @@ class TruncatedSeries:
         }
 
 
+def _mul_coeffs(
+    f: Mapping[WordKey, int], g: Mapping[WordKey, int], degree: Optional[int]
+) -> dict[WordKey, int]:
+    """The product of two coefficient maps, truncated above degree, unreduced."""
+    cap = math.inf if degree is None else degree
+    by_len: dict[int, list[tuple[WordKey, int]]] = {}
+    for v, cv in g.items():
+        by_len.setdefault(len(v), []).append((v, cv))
+    out: dict[WordKey, int] = {}
+    for u, cu in f.items():
+        room = cap - len(u)
+        for length, items in by_len.items():
+            if length > room:
+                continue
+            for v, cv in items:
+                w = u + v
+                out[w] = out.get(w, 0) + cu * cv
+    return out
+
+
 def _binomials(k: int) -> Iterator[int]:
     """C(k, 1), C(k, 2), ... exactly, for any integer k; zero past k >= 0.
 
@@ -259,15 +267,18 @@ def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
         # negative and exact powers stay ints ((-1) ** -3 is the float -1.0).
         c = pow(c, -1, m) if m else c
     top = f.degree if k < 0 else k if f.degree is None else min(k, f.degree)
-    g = TruncatedSeries(f.alphabet, m, f.degree, {u: v for u, v in f.coeffs.items() if u})
+    # powers of g on raw coefficient maps, reduced as they are formed
+    g = {u: v for u, v in f.coeffs.items() if u}
     out = {(): pow(c, abs(k), m)}
-    g_j = TruncatedSeries.one(f.alphabet, m, f.degree)
+    g_j = g
     for j, binomial in zip(range(1, top + 1), _binomials(k)):
-        g_j = g_j * g
-        if not g_j.coeffs:
+        if j > 1:
+            g_j = _mul_coeffs(g_j, g, f.degree)
+            g_j = {u: r for u, v in g_j.items() if (r := v % m if m else v)}
+        if not g_j:
             break
         scale = binomial * pow(c, abs(k - j), m)
-        for u, v in g_j.coeffs.items():
+        for u, v in g_j.items():
             out[u] = out.get(u, 0) + scale * v
     return TruncatedSeries(f.alphabet, m, f.degree, out)
 

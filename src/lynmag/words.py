@@ -222,5 +222,12 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
     if len(w) < 2:
         raise ValueError("need length >= 2 to factor")
     u = w.indices
-    cut = min(range(1, len(u)), key=lambda i: u[i:])
+    cut = _standard_cut(u)
     return Word(w.alphabet, u[:cut]), Word(w.alphabet, u[cut:])
+
+
+def _standard_cut(u: tuple[int, ...]) -> int:
+    # Where the standard factorization splits the letter indices of a
+    # Lyndon word of length >= 2: the start of its least proper suffix.
+    # Unchecked, for words that are Lyndon by construction.
+    return min(range(1, len(u)), key=lambda i: u[i:])

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import random
+import re
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -582,3 +584,54 @@ class TestParserBuiltOnce:
         codes = [code for code, _, _ in cached]
         assert codes == [0, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0, 2]
         assert "unknown config key(s)" in cached[-1][2] and "bogus" in cached[-1][2]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+scalars = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.text(),
+)
+keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+reports = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(st.text(), max_size=6)
+    | st.dictionaries(keys, children, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """``format_json`` writes the bytes of ``json.dumps(indent=2)``."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_golden_fixtures(self, name):
+        text = (GOLDEN / name).read_text()
+        assert cli.format_json(json.loads(text)) + "\n" == text
+
+    @settings(max_examples=200)
+    @given(reports)
+    def test_generated_reports(self, report):
+        assert cli.format_json(report) == json.dumps(report, indent=2)
+
+    def test_edge_values(self):
+        report = {
+            "empty": [[], {}, "", [[]], {"": {}}],
+            "escapes": ['"quoted"', "back\\slash", "\x00\x1f\t\n\r", "é☃\U0001f600\ud800"],
+            "ints": [0, -1, 2**64, -(10**40), 10**300],
+            "mixed": [True, False, None, 1.5, -0.0, float("inf"), float("nan"), 1e300, 3],
+            1: "int key", 2.5: "float key", False: "bool key", None: "null key",
+            "tuple": (1, (2, "three"), ()),
+        }
+        assert cli.format_json(report) == json.dumps(report, indent=2)
+        for bad in ({(1, 2): 3}, [object()], {"k": {1, 2}}):
+            with pytest.raises(TypeError) as want:
+                json.dumps(bad, indent=2)
+            with pytest.raises(TypeError, match=re.escape(str(want.value))):
+                cli.format_json(bad)

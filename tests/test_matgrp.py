@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import lynmag.matgrp as matgrp
 import lynmag.series as series
 import lynmag.verify as verify
-from lynmag.freegrp import GroupWord, parse_group_word, power, tau
+from lynmag.freegrp import GroupWord, parse_group_word, power, tau, tau_plan
 from lynmag.matgrp import (
     FiniteGroupTable,
     UnipotentMatrix,
@@ -270,24 +270,31 @@ class TestPairingBatches:
         for letter, name in enumerate("xy"):
             g = parse_group_word(XY, name)
             rows = letter_rows(words, letter, 4, 9)
-            assert rows.shape == (4, 6)
-            for w, r in zip(words, rows):
-                assert tuple(block_rows(r, 4, len(w) + 1, 9).tolist()) == rho_reference(w, g, 9).data
+            assert rows.shape == (6, 4)
+            for w, r in zip(words, rows.T):
+                assert tuple(block_rows(r, 4, 0, len(w) + 1, 9).tolist()) == rho_reference(w, g, 9).data
                 assert tuple(r.tolist()) == UnipotentMatrix.from_entries(4, 9, {
                     (i, i + 1): 1 for i in range(1, len(w) + 1) if w.indices[i - 1] == letter
                 }).data
 
     @staticmethod
+    def walk(ws, words, n, p):
+        # the batch modulus of the shortest w'
+        return tau_power_rows(tau_plan(ws), ws, words, n, p, p ** (n - min(map(len, words)) + 1))
+
+    @staticmethod
     def assert_blocks_are_rho_of_powers(done, batch, words, n, p):
-        # each w' reads its (|w'|+1)-block mod p^(n-|w'|+1) off the shared batch
+        # each infix of each w' reads its block mod p^(n-|infix|+1) off the shared batch
         size = max(map(len, words)) + 1
-        assert batch.shape == (len(done), len(words), size * (size - 1) // 2)
-        for w, rows in zip(done, batch):
+        assert batch.shape == (size * (size - 1) // 2, len(done), len(words))
+        for w, rows in zip(done, batch.swapaxes(0, 1)):
             g = tau(w) ** p ** (n - len(w))
-            for v, r in zip(words, rows):
-                modulus = p ** (n - len(v) + 1)
-                block = block_rows(r, size, len(v) + 1, modulus)
-                assert tuple(block.tolist()) == rho_reference(v, g, modulus).data
+            for v, r in zip(words, rows.T):
+                for start, end in itertools.combinations(range(len(v) + 1), 2):
+                    u = v[start:end]
+                    modulus = p ** (n - len(u) + 1)
+                    block = block_rows(r, size, start, len(u) + 1, modulus)
+                    assert tuple(block.tolist()) == rho_reference(u, g, modulus).data
 
     @pytest.mark.parametrize("block", [4096, 5])
     def test_tau_power_rows_are_rho_of_powers(self, block, monkeypatch):
@@ -296,7 +303,7 @@ class TestPairingBatches:
         words = [XY.word(t) for t in ("xyx", "x", "xxy", "yy", "yyx", "xyy", "yx")]
         seen = []
         # n = 5, p = 3: tau(w) ** 3**(5-|w|), one batch of size 4 mod 3^5
-        for done, batch in tau_power_rows(ws, words, 5, 3):
+        for done, batch in self.walk(ws, words, 5, 3):
             assert len({len(w) for w in done}) == 1
             self.assert_blocks_are_rho_of_powers(done, batch, words, 5, 3)
             seen += done
@@ -309,7 +316,7 @@ class TestPairingBatches:
         ws = [XY.word(t) for t in names]
         words = [XY.word(t) for t in ("xyx", "y", "xxy", "xy")]
         seen = []
-        for done, batch in tau_power_rows(ws, words, 5, 3):
+        for done, batch in self.walk(ws, words, 5, 3):
             assert len(done) * len(words) <= max(block, len(words))
             self.assert_blocks_are_rho_of_powers(done, batch, words, 5, 3)
             seen += done
@@ -324,15 +331,15 @@ class TestPairingBatches:
         words = [XYZ.word(t) for t in ("z", "xy", "zx", "xyz", "yzx", "x", "xzy")]
         size = 4
         mixed = {}
-        for done, batch in tau_power_rows(ws, words, n, p):
-            mixed.update(zip(done, batch))
+        for done, batch in self.walk(ws, words, n, p):
+            mixed.update(zip(done, batch.swapaxes(0, 1)))
         for s in (1, 2, 3):
             cols = [k for k, v in enumerate(words) if len(v) == s]
             modulus = p ** (n - s + 1)
             walks = 0
-            for done, batch in tau_power_rows(ws, [words[k] for k in cols], n, p):
-                for w, rows in zip(done, batch):
-                    want = block_rows(mixed[w][cols], size, s + 1, modulus)
+            for done, batch in self.walk(ws, [words[k] for k in cols], n, p):
+                for w, rows in zip(done, batch.swapaxes(0, 1)):
+                    want = block_rows(mixed[w][:, cols], size, 0, s + 1, modulus)
                     assert rows.tolist() == want.tolist()
                     walks += 1
             assert walks == len(ws)
@@ -356,7 +363,7 @@ class TestPairingBatches:
         mats = [E(3, modulus, 1, 3, 9 * a) for a in range(3)]
         mats += [E(3, modulus, 1, 3, rng.randrange(1, 27)) for _ in range(5)]
         mats += [E(3, modulus, 1, 2, 9), E(3, modulus, 2, 3, 1) * E(3, modulus, 1, 3, 9)]
-        rows = np.array([m.data for m in mats])
+        rows = np.array([m.data for m in mats]).T
         for m, got in zip(mats, iota_rows(n, s, rows, modulus).tolist()):
             try:
                 want = iota(n, s, m)
@@ -468,7 +475,7 @@ def scalar_power(x: UnipotentMatrix, k: int) -> UnipotentMatrix:
 
 def assert_inverses(rows, xs):
     # Each row is a two-sided inverse of its matrix under the scalar product.
-    for x, row in zip(xs, rows.tolist()):
+    for x, row in zip(xs, rows.T.tolist()):
         inv = UnipotentMatrix(x.size, x.modulus, row)
         assert (x * inv).is_identity() and (inv * x).is_identity()
 
@@ -483,11 +490,11 @@ class TestBatchedKernel:
         a = matgrp._rows(xs, size, modulus)
         b = matgrp._rows(ys, size, modulus)
         data = lambda ms: [list(m.data) for m in ms]  # noqa: E731
-        assert matgrp._mul_rows(a, b, size, modulus).tolist() == data(
+        assert matgrp._mul_rows(a, b, size, modulus).T.tolist() == data(
             x * y for x, y in zip(xs, ys)
         )
         assert_inverses(matgrp._inverse_rows(a, size, modulus), xs)
-        assert matgrp._pow_rows(a, k, size, modulus).tolist() == data(
+        assert matgrp._pow_rows(a, k, size, modulus).T.tolist() == data(
             scalar_power(x, k) for x in xs
         )
 
@@ -499,11 +506,11 @@ class TestBatchedKernel:
         xs = [UnipotentMatrix(4, big, [rng.randrange(big) for _ in range(6)]) for _ in range(3)]
         a = matgrp._rows(xs, 4, big)
         assert a.dtype == object
-        assert matgrp._mul_rows(a, a[::-1], 4, big).tolist() == [
+        assert matgrp._mul_rows(a, a[:, ::-1], 4, big).T.tolist() == [
             list((x * y).data) for x, y in zip(xs, xs[::-1])
         ]
         assert_inverses(matgrp._inverse_rows(a, 4, big), xs)
-        assert matgrp._pow_rows(a, 7, 4, big).tolist() == [
+        assert matgrp._pow_rows(a, 7, 4, big).T.tolist() == [
             list(scalar_power(x, 7).data) for x in xs
         ]
 
@@ -525,15 +532,37 @@ class TestBatchedKernel:
                    for _ in range(4)]
             a = matgrp._rows(xs, size, modulus)
             assert a.dtype == dtype
-            assert matgrp._mul_rows(a, a[::-1], size, modulus).tolist() == [
+            assert matgrp._mul_rows(a, a[:, ::-1], size, modulus).T.tolist() == [
                 list((x * y).data) for x, y in zip(xs, xs[::-1])
             ]
             assert_inverses(matgrp._inverse_rows(a, size, modulus), xs)
 
+    @pytest.mark.parametrize("size", range(1, 8))
+    @pytest.mark.parametrize("modulus, dtype", [(13**5, np.int64), (3**25, object)])
+    def test_entry_major_kernels_match_scalar(self, size, modulus, dtype):
+        # one contiguous row per entry; 3^25 is near 2^40, past int64's reach
+        rng = random.Random(size)
+        entries = size * (size - 1) // 2
+        for count in (0, 1, 6):
+            xs, ys = (
+                [UnipotentMatrix(size, modulus, [rng.randrange(modulus) for _ in range(entries)])
+                 for _ in range(count)]
+                for _ in range(2)
+            )
+            a, b = matgrp._rows(xs, size, modulus), matgrp._rows(ys, size, modulus)
+            assert a.shape == (entries, count) and a.dtype == dtype and a.flags.c_contiguous
+            product = matgrp._mul_rows(a, b, size, modulus)
+            assert product.shape == (entries, count)
+            assert product.T.tolist() == [list((x * y).data) for x, y in zip(xs, ys)]
+            inverse = matgrp._inverse_rows(a, size, modulus)
+            assert inverse.shape == (entries, count)
+            assert inverse.T.tolist() == [list(x.inverse().data) for x in xs]
+            assert_inverses(inverse, xs)
+
     def test_unique_rows_sorts_lexicographically(self):
-        rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1]])
-        assert matgrp._unique_rows(rows).tolist() == [[0, 1], [0, 2], [1, 0]]
-        assert matgrp._unique_rows(np.zeros((3, 0), dtype=np.int64)).shape == (1, 0)
+        rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1]]).T
+        assert matgrp._unique_rows(rows).T.tolist() == [[0, 1], [0, 2], [1, 0]]
+        assert matgrp._unique_rows(np.zeros((0, 3), dtype=np.int64)).shape == (0, 1)
 
 
 class TestBinomialPowers:
@@ -551,7 +580,7 @@ class TestBinomialPowers:
         prime_powers = [p**e for p in (2, 3, 13) for e in range(1, 19) if p**e <= 13**5]
         large = [rng.randrange(2**20, 2**64) for _ in range(3)]
         for k in list(range(size + 2)) + prime_powers + large:
-            assert matgrp._pow_rows(a, k, size, modulus).tolist() == [
+            assert matgrp._pow_rows(a, k, size, modulus).T.tolist() == [
                 list(scalar_power(x, k).data) for x in xs
             ], k
 
@@ -559,16 +588,16 @@ class TestBinomialPowers:
         rng = random.Random(8)
         xs = [UnipotentMatrix(5, 7**3, [rng.randrange(7**3) for _ in range(10)])
               for _ in range(6)]
-        a = matgrp._rows(xs, 5, 7**3).reshape(2, 3, 10)
-        got = matgrp._pow_rows(a, 7**2, 5, 7**3).reshape(6, 10)
-        assert got.tolist() == [list(scalar_power(x, 7**2).data) for x in xs]
+        a = matgrp._rows(xs, 5, 7**3).reshape(10, 2, 3)
+        got = matgrp._pow_rows(a, 7**2, 5, 7**3).reshape(10, 6)
+        assert got.T.tolist() == [list(scalar_power(x, 7**2).data) for x in xs]
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_at_most_size_minus_two_products(self, size, monkeypatch):
         calls = []
         real = matgrp._mul_rows
         monkeypatch.setattr(matgrp, "_mul_rows", lambda *args: calls.append(1) or real(*args))
-        a = np.ones((2, size * (size - 1) // 2), dtype=np.int64)
+        a = np.ones((size * (size - 1) // 2, 2), dtype=np.int64)
         for k in list(range(10)) + [13**4, 13**5, 2**40 + 1, 3**50]:
             calls.clear()
             matgrp._pow_rows(a, k, size, 13**3)

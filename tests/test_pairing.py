@@ -1,6 +1,7 @@
 """The duality pairing, its matrix, inversion, and vanishing rules."""
 
 import importlib
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import lynmag.series
 import lynmag.shufalg
 import lynmag.verify
 from lynmag.errors import ConsistencyError
-from lynmag.freegrp import tau
+from lynmag.freegrp import tau, tau_plan
 from lynmag.matgrp import iota, rho
 from lynmag.pairing import (
     PairingMatrix,
@@ -151,6 +152,43 @@ class TestPairingMatrix:
         M = pairing_matrix(3, 5, XYZ)
         assert M.entry(XYZ.word("xyz"), XYZ.word("xzy")) == 4
         assert M.entry(XYZ.word("x"), XYZ.word("x")) == 1
+
+
+class TestTriangularityCheck:
+    """``pairing_matrix`` names the first entry that breaks its shape."""
+
+    @staticmethod
+    def first_offender(index, rows, n):
+        # entry by entry: row by row, the diagonal before the lower entries
+        for i in range(len(index)):
+            if rows[i, i] != 1:
+                return f"diagonal entry <{index[i]}, {index[i]}>_{n} = {rows[i, i]}, not 1"
+            for j in range(i):
+                if rows[i, j]:
+                    return (
+                        f"lower entry <{index[i]}, {index[j]}>_{n} = {rows[i, j]} "
+                        "breaks upper-triangularity"
+                    )
+        return None
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_first_offender(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        index = lyndon_words(XYZ, 3)
+        rows = pairing_rows(index, index, 3, 5)
+        d = len(index)
+        for _ in range(rng.randrange(4)):
+            i = rng.randrange(d)
+            j = rng.choice([i, rng.randrange(d)])  # the diagonal half the time
+            rows[i, j] = rng.randrange(5)
+        monkeypatch.setattr(PAIRING, "pairing_rows", lambda *args: rows)
+        want = self.first_offender(index, rows, 3)
+        if want is None:
+            assert np.array_equal(pairing_matrix(3, 5, XYZ).rows, rows)
+        else:
+            with pytest.raises(ConsistencyError) as got:
+                pairing_matrix(3, 5, XYZ)
+            assert str(got.value) == want
 
 
 class TestDualChangeOfBasis:
@@ -296,6 +334,42 @@ class TestRowsAgainstReference:
         assert pairing_rows([XY.word("x")], [], 2, 3).shape == (1, 0)
 
 
+class TestInfixColumns:
+    """The matrix route reads each w' off a diagonal block of a cover word."""
+
+    @staticmethod
+    def per_pair(ws, words, n, p):
+        return np.array([[pairing(w, v, n, p) for v in words] for w in ws])
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 3), (5, 5)])
+    def test_infix_that_is_no_prefix(self, n, p):
+        # y and yy lie inside xyy at offset 1, and in no word at offset 0
+        words = [XY.word(t) for t in ("y", "xyy", "yy")]
+        covers, places = PAIRING._infix_cover(words)
+        assert covers == [XY.word("xyy")]
+        assert places == [(0, 1), (0, 0), (0, 1)]
+        ws = lyndon_words(XY, 3)
+        assert np.array_equal(pairing_rows(ws, words, n, p), self.per_pair(ws, words, n, p))
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 3)])
+    def test_repeated_columns(self, n, p):
+        words = [XY.word(t) for t in ("xy", "y", "xy", "x", "y", "xxy", "x")]
+        covers, _ = PAIRING._infix_cover(words)
+        assert covers == [XY.word("xxy")]
+        ws = lyndon_words(XY, 3)
+        assert np.array_equal(pairing_rows(ws, words, n, p), self.per_pair(ws, words, n, p))
+
+    @pytest.mark.parametrize("n, p", [(3, 3), (4, 2)])
+    def test_columns_of_one_length(self, n, p):
+        # no word of one length is a proper infix of another: each covers itself
+        words = list(all_words(XY, 3))
+        covers, places = PAIRING._infix_cover(words)
+        assert sorted(map(str, covers)) == sorted(map(str, words))
+        assert all(start == 0 for _, start in places)
+        ws = lyndon_words(XY, 3)
+        assert np.array_equal(pairing_rows(ws, words, n, p), self.per_pair(ws, words, n, p))
+
+
 class TestSeriesWalk:
     """The series route's walk of the tau recursion on augmentation parts."""
 
@@ -304,7 +378,8 @@ class TestSeriesWalk:
     def test_parts_are_magnus_of_tau(self, degree, modulus):
         # degree below |w| leaves factor inverses truncated below degree 0
         ws = lyndon_words(XYZ, 5)
-        got = dict(PAIRING._tau_parts(ws[::-1] + ws[:3], degree, modulus))
+        request = ws[::-1] + ws[:3]
+        got = dict(PAIRING._tau_parts(tau_plan(request), request, degree, modulus))
         assert set(got) == set(ws)
         for w in ws:
             want = dict(magnus(tau(w), modulus, degree).coeffs)
@@ -368,7 +443,7 @@ class TestFaultInjection:
         def skewed(*args):
             for positions, batch in real(*args):
                 batch = batch.copy()
-                batch[..., 0] += 1  # entry (1, 2)
+                batch[0] += 1  # entry (1, 2) of every matrix
                 yield positions, batch
 
         monkeypatch.setattr(PAIRING, "tau_power_rows", skewed)
@@ -378,6 +453,28 @@ class TestFaultInjection:
             r"matrix is not in the central subgroup: entry \(1,2\) = 1",
         ):
             pairing(XY.word("xy"), XY.word("xy"), 2, 3)
+
+    def test_entry_read_only_through_an_infix_block(self, monkeypatch):
+        # Entry (2, 3) of the xyy batch is entry (1, 2) of the yy block at
+        # offset 1.  Adding 3 leaves it 0 mod 3, where the cover xyy reads
+        # it, and makes it 3 mod 9, where yy reads it.
+        real = PAIRING.tau_power_rows
+
+        def skewed(*args):
+            for positions, batch in real(*args):
+                batch = batch.copy()
+                batch[3] += 3  # entry (2, 3) of every matrix of size 4
+                yield positions, batch
+
+        monkeypatch.setattr(PAIRING, "tau_power_rows", skewed)
+        w, cover, infix = (XY.word(t) for t in ("xyy", "xyy", "yy"))
+        assert pairing_rows([w], [cover], 3, 3).tolist() == [[1]]
+        with pytest.raises(
+            ConsistencyError,
+            match=r"matrix route failed for <xyy, yy>_3: "
+            r"matrix is not in the central subgroup: entry \(1,2\) = 3",
+        ):
+            pairing_rows([w], [cover, infix], 3, 3)
 
 
 def test_routes_never_call_magnus_or_rho(monkeypatch):

@@ -380,7 +380,9 @@ def block_rows(rows: np.ndarray, size: int, start: int, k: int, modulus: int) ->
     the block of a product is the product of blocks.
     """
     index = [t for t, (i, j) in enumerate(_upper_pairs(size)) if start < i and j <= start + k]
-    return rows[index] % modulus
+    block = rows[index]  # a list index copies, so the reduction can be in place
+    block %= modulus
+    return block
 
 
 def letter_rows(words: Sequence[Word], letter: int, size: int, modulus: int) -> np.ndarray:

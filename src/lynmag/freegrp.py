@@ -12,20 +12,19 @@ canonical generating family of each layer of the lower p-central series
 closure of a set of Lyndon words under standard factorization, shortest
 first, with the last use of each factor.  Walks of that plan evaluate
 tau homomorphically, one word length at a time, so a caller that only
-needs the image of tau(w) never builds the group word: ``tau_images`` in
-any target group given the images of the letters (``tau`` itself uses
-it in the free group), ``matgrp.tau_power_rows`` on stacks of matrices
-and ``pairing._tau_parts`` on the augmentation parts of Magnus series.
+needs the image of tau(w) never builds the group word:
+``matgrp.tau_power_rows`` on stacks of matrices and ``pairing._tau_parts``
+on the augmentation parts of Magnus series.
 ``power`` raises an element of any target group by binary powering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
-from .words import Alphabet, Word, _standard_cut, is_lyndon, lyndon_words
+from .words import Alphabet, Word, _standard_cut, is_lyndon, lyndon_words, standard_factorization
 
 Syllable = tuple[int, int]
 T = TypeVar("T")
@@ -175,56 +174,16 @@ def tau_plan(words: Iterable[Word]) -> list[TauStep]:
     return [TauStep(word[u], factors[u], last_use.get(u, 0)) for u in order]
 
 
-def tau_images(
-    words: Iterable[Word],
-    letter: Callable[[int], T],
-    mul: Callable[[T, T], T],
-    inv: Callable[[T], T],
-) -> Iterator[tuple[Word, T]]:
-    """(w, image of tau(w)) for each Lyndon word w, in any target group.
-
-    ``letter`` maps a letter index to its image.  A single letter maps
-    to that image; a longer word splits through its standard
-    factorization w = w'w'' and maps to [tau(w'), tau(w'')].  The
-    ``tau_plan`` of words is walked one word length at a time, as
-    ``matgrp.tau_power_rows`` does: each factor's (image, inverse) pair
-    is formed once and dropped after its last use, and inv([a, b]) =
-    [b, a], so only letters are ever inverted.  Each distinct word is
-    yielded once, as soon as it is formed: shortest first.
-    """
-    words = list(words)
-    wanted = set(words)
-    pairs: dict[Word, tuple[T, T]] = {}
-    expiring: dict[int, list[Word]] = {}  # last use -> factors to drop after it
-
-    def bracket(u: Word, v: Word) -> T:
-        (a, a_inv), (b, b_inv) = pairs[u], pairs[v]
-        return mul(mul(a_inv, b_inv), mul(a, b))
-
-    for length, level in groupby(tau_plan(words), key=lambda step: len(step.word)):
-        for step in level:
-            if step.factors is None:
-                image = letter(step.word.indices[0])
-            else:
-                image = bracket(*step.factors)
-            if step.last_use:
-                inverse = inv(image) if step.factors is None else bracket(*step.factors[::-1])
-                pairs[step.word] = (image, inverse)
-                expiring.setdefault(step.last_use, []).append(step.word)
-            if step.word in wanted:
-                yield step.word, image
-        for u in expiring.pop(length, ()):
-            del pairs[u]
-
-
 def tau(w: Word) -> GroupWord:
-    """The iterated commutator attached to a Lyndon word, as a group word."""
+    """The iterated commutator attached to a Lyndon word, as a group word.
 
-    def letter(i: int) -> GroupWord:
-        return GroupWord(w.alphabet, ((i, 1),))
-
-    ((_, image),) = tau_images([w], letter, GroupWord.__mul__, GroupWord.inverse)
-    return image
+    A letter maps to itself; a longer word splits through its standard
+    factorization w = w'w'' and maps to [tau(w'), tau(w'')];
+    ``standard_factorization`` rejects a word that is not Lyndon.
+    """
+    if len(w) == 1:
+        return GroupWord(w.alphabet, ((w.indices[0], 1),))
+    return commutator(*map(tau, standard_factorization(w)))
 
 
 def gr_generators(

@@ -12,9 +12,8 @@ entry row at a time.  Products and inverses sum each entry's products
 unreduced, through one preallocated temporary, and reduce once.  Powers
 use the binomial series of I + N, so any exponent costs at most size - 2
 products.  Entries are int64 when size products of two residues fit, and
-exact Python ints otherwise.  A single matrix is inverted and powered by
-the same kernels, as a stack of one; only its product keeps a scalar
-loop, which is faster on one matrix.
+exact Python ints otherwise.  A single matrix has only a scalar product,
+which is faster on one matrix.
 
 The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
 forms at most ``BLOCK`` products per kernel call, which bounds memory.
@@ -143,17 +142,6 @@ class UnipotentMatrix:
             for t, mids in enumerate(prog)
         )
         return UnipotentMatrix(self.size, self.modulus, data)
-
-    def inverse(self) -> "UnipotentMatrix":
-        return self ** -1
-
-    def __pow__(self, k: int) -> "UnipotentMatrix":
-        """Any integer power, on the row kernels: a negative k inverts first."""
-        size, modulus = self.size, self.modulus
-        a = _rows([self], size, modulus)
-        if k < 0:
-            a = _inverse_rows(a, size, modulus)
-        return UnipotentMatrix(size, modulus, _pow_rows(a, abs(k), size, modulus)[:, 0].tolist())
 
     def is_identity(self) -> bool:
         return not any(self.data)

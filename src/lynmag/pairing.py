@@ -12,7 +12,8 @@ p^(n-|w|) costs at most n products; neither expands a generator into a
 group word and neither reads ``magnus`` or ``rho``:
 
 - series route: tau(w) - 1 on the letter series 1 + x over Z/p^n, as a
-  plain coefficient map (``_tau_parts``): [a, b] - 1 = a^-1 b^-1 (AB - BA)
+  map from word code to coefficient (``_tau_parts``), multiplied by the
+  product kernel of ``TruncatedSeries``: [a, b] - 1 = a^-1 b^-1 (AB - BA)
   with A = a - 1, B = b - 1, and AB - BA starts at degree |w|, so only
   the low degrees of the inverses are kept.  Each image is raised to
   p^(n-|w|) by ``series_pow`` as soon as it is formed; then every
@@ -41,7 +42,6 @@ family exactly dual.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -51,34 +51,18 @@ from .errors import ConsistencyError
 from .freegrp import TauStep, tau_plan
 from .linalg import inverse_mod_p
 from .matgrp import BLOCK, UnipotentMatrix, block_rows, iota, iota_rows, tau_power_rows
-from .series import TruncatedSeries, WordKey, balanced, is_prime, series_pow
+from .series import TruncatedSeries, _product, _word_code, balanced, is_prime, series_pow
 from .words import Alphabet, Word, lyndon_words, necklace
-
-Series = dict[WordKey, int]  # a truncated series by its nonzero coefficients
-
-
-def _combine(
-    terms: Iterable[tuple[int, Series, Series]], degree: int, modulus: int
-) -> Series:
-    """The sum of c f g over (c, f, g) in terms, truncated above degree, mod modulus."""
-    out: Series = {}
-    for c, f, g in terms:
-        items = sorted(g.items(), key=lambda item: len(item[0]))
-        lengths = [len(v) for v, _ in items]
-        for u, cu in f.items():
-            for v, cv in items[: bisect_right(lengths, degree - len(u))]:
-                w = u + v
-                out[w] = out.get(w, 0) + c * cu * cv
-    return {w: r for w, c in out.items() if (r := c % modulus)}
 
 
 def _tau_parts(
     plan: Sequence[TauStep], ws: Sequence[Word], degree: int, modulus: int
-) -> Iterator[tuple[Word, Series]]:
+) -> Iterator[tuple[Word, dict[int, int]]]:
     """(w, tau(w) - 1) on the letter series 1 + x, for each distinct word of ws.
 
     Walks ``plan``, the ``tau_plan`` of ws, one word length at a time on
-    augmentation parts:
+    augmentation parts, as code maps (``series._word_code``) multiplied by
+    the series product kernel ``series._product``:
     with A = a - 1 and B = b - 1, [a, b] = 1 + a^-1 b^-1 (AB - BA), and
     AB - BA starts at degree |w|, so a^-1 b^-1 is only needed up to
     degree - |w|.  A factor u keeps its inverse only up to degree -
@@ -86,26 +70,26 @@ def _tau_parts(
     1 - b^-1 a^-1 (AB - BA); its pair is dropped after its last use.
     Each distinct word is yielded once, as soon as it is formed.
     """
-    wanted = set(ws)
-    one: Series = {(): 1}
-    pairs: dict[Word, tuple[Series, Series]] = {}  # factor -> (a - 1, a^-1)
+    wanted, m = set(ws), len(ws[0].alphabet)
+    one = {0: 1}
+    pairs: dict[Word, tuple[dict[int, int], dict[int, int]]] = {}  # factor -> (a - 1, a^-1)
     expiring: dict[int, list[Word]] = {}  # last use -> factors to drop after it
     for length, level in itertools.groupby(plan, key=lambda step: len(step.word)):
         room = degree - length - 1  # how far a factor's inverse is read
         for step in level:
             if step.factors is None:
                 x = step.word.indices
-                part = {x: 1}
-                inverse = {x * j: (-1) ** j % modulus for j in range(room + 1)}
+                part = {_word_code(x, m): 1}
+                inverse = {_word_code(x * j, m): (-1) ** j % modulus for j in range(room + 1)}
             else:
                 (a, a_inv), (b, b_inv) = (pairs[u] for u in step.factors)
-                k = _combine([(1, a, b), (-1, b, a)], degree, modulus)  # AB - BA
-                left = _combine([(1, a_inv, b_inv)], degree - length, modulus)
-                part = _combine([(1, left, k)], degree, modulus)
+                k = _product([(1, a, b), (-1, b, a)], m, degree, modulus)  # AB - BA
+                left = _product([(1, a_inv, b_inv)], m, degree - length, modulus)
+                part = _product([(1, left, k)], m, degree, modulus)
                 if step.last_use:
-                    right = _combine([(1, b_inv, a_inv)], room - length, modulus)
+                    right = _product([(1, b_inv, a_inv)], m, room - length, modulus)
                     # 1 - b^-1 a^-1 (AB - BA), empty where room < 0
-                    inverse = _combine([(1, one, one), (-1, right, k)], room, modulus)
+                    inverse = _product([(1, one, one), (-1, right, k)], m, room, modulus)
             if step.last_use:
                 pairs[step.word] = (part, inverse)
                 expiring.setdefault(step.last_use, []).append(step.word)
@@ -123,16 +107,17 @@ def _series_rows(
     lengths = np.array([len(v) for v in words], dtype=object)
     modulus, degree = p ** (n - min(lengths) + 1), max(lengths)
     moduli, shifts = p ** (n - lengths + 1), p ** (n - lengths)
-    keys = [v.indices for v in words]
+    m = len(alphabet)
+    keys = [_word_code(v.indices, m) for v in words]
     # every coefficient is below modulus; int64 keeps them compact when it can
     dtype = np.int64 if modulus <= 2**63 else object
     moduli, shifts = moduli.astype(dtype), shifts.astype(dtype)
     done: list[Word] = []
     c = np.zeros((len(set(ws)), len(words)), dtype=dtype)
     for w, part in _tau_parts(plan, ws, degree, modulus):
-        image = TruncatedSeries(alphabet, modulus, degree, {(): 1, **part})
+        image = TruncatedSeries._from_codes(alphabet, modulus, degree, {0: 1, **part})
         f = series_pow(image, p ** (n - len(w)))
-        c[len(done)] = list(map(f.coeffs.get, keys, itertools.repeat(0)))
+        c[len(done)] = list(map(f.codes.get, keys, itertools.repeat(0)))
         done.append(w)
     # one pass over every coefficient, in the order the words were formed
     c %= moduli

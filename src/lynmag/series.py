@@ -20,9 +20,9 @@ the lower central and lower p-central series (``lower_central_test``,
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .freegrp import GroupWord, Syllable
 from .words import Alphabet, Word, is_lyndon, standard_factorization
@@ -75,15 +75,16 @@ def balanced(c: int, m: int) -> int:
 class TruncatedSeries:
     """Sparse series in noncommuting letters, truncated above a fixed degree.
 
-    The coefficient map never stores zeros and never stores words longer
+    The coefficients are one map, ``codes``, from word code (``_word_code``)
+    to coefficient.  It never stores zeros and never stores words longer
     than the truncation degree, so equality of values is equality of maps.
-    It is keyed by word (``coeffs``) or by word code (``codes``); each is
-    built from the other when first read.
+    Word keys (tuples of letter indices) appear only at the boundary: the
+    constructor input, the ``coeffs`` view and printing.
     A degree of None means untruncated: the value is a finite polynomial.
     Instances are immutable by convention; all operations return new values.
     """
 
-    __slots__ = ("alphabet", "modulus", "degree", "_coeffs", "_codes")
+    __slots__ = ("alphabet", "modulus", "degree", "codes")
 
     def __init__(
         self,
@@ -97,46 +98,37 @@ class TruncatedSeries:
         if degree is not None and degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         cap = math.inf if degree is None else degree
-        clean: dict[WordKey, int] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if len(key) > cap:
-                    continue
-                if modulus is not None:
-                    c %= modulus
-                if c:
-                    clean[key] = c
+        m = len(alphabet)
+        coeffs = coeffs or {}
+        # a letter index past the alphabet would encode as another word
+        if not all(0 <= a < m for key in coeffs for a in key):
+            raise ValueError("letter index out of range")
+        codes = {_word_code(key, m): c for key, c in coeffs.items() if len(key) <= cap}
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "_codes", None)
+        object.__setattr__(self, "codes", _reduced(codes, modulus))
 
     @classmethod
     def _from_codes(
-        cls, alphabet: Alphabet, modulus: Optional[int], degree: int, codes: dict[int, int]
+        cls,
+        alphabet: Alphabet,
+        modulus: Optional[int],
+        degree: Optional[int],
+        codes: dict[int, int],
     ) -> "TruncatedSeries":
         # A series from a clean code map: no zeros, no word past the degree.
         f = cls(alphabet, modulus, degree)
-        object.__setattr__(f, "_coeffs", None)
-        object.__setattr__(f, "_codes", codes)
+        object.__setattr__(f, "codes", codes)
         return f
+
+    def _with(self, codes: dict[int, int]) -> "TruncatedSeries":
+        return TruncatedSeries._from_codes(self.alphabet, self.modulus, self.degree, codes)
 
     @property
     def coeffs(self) -> dict[WordKey, int]:
-        """Coefficients by word key; decoded from ``codes`` when first read."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", _decode(self._codes, len(self.alphabet)))
-        return self._coeffs
-
-    @property
-    def codes(self) -> dict[int, int]:
-        """Coefficients by word code (``_word_code``); encoded from ``coeffs`` when first read."""
-        if self._codes is None:
-            m = len(self.alphabet)
-            codes = {_word_code(k, m): c for k, c in self._coeffs.items()}
-            object.__setattr__(self, "_codes", codes)
-        return self._codes
+        """Coefficients by word key, decoded from ``codes`` on every read."""
+        return dict(zip(_decode(self.codes, len(self.alphabet)), self.codes.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -158,7 +150,7 @@ class TruncatedSeries:
     def coefficient(self, w: Word) -> int:
         if w.alphabet != self.alphabet:
             raise ValueError("word over a different alphabet")
-        return self.coeffs.get(w.indices, 0)
+        return self.codes.get(_word_code(w.indices, len(self.alphabet)), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,15 +158,15 @@ class TruncatedSeries:
             and self.alphabet == other.alphabet
             and self.modulus == other.modulus
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.codes == other.codes
         )
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return TruncatedSeries(self.alphabet, self.modulus, self.degree, out)
+        out = dict(self.codes)
+        for w, c in other.codes.items():
+            out[w] = out.get(w, 0) + c
+        return self._with(_reduced(out, self.modulus))
 
     def __neg__(self) -> "TruncatedSeries":
         return self.scale(-1)
@@ -183,33 +175,26 @@ class TruncatedSeries:
         return self + (-other)
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.alphabet,
-            self.modulus,
-            self.degree,
-            {key: c * v for key, v in self.coeffs.items()},
-        )
+        return self._with(_reduced({w: c * v for w, v in self.codes.items()}, self.modulus))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        out = _mul_coeffs(self.coeffs, other.coeffs, self.degree)
-        return TruncatedSeries(self.alphabet, self.modulus, self.degree, out)
+        m = len(self.alphabet)
+        return self._with(_product([(1, self.codes, other.codes)], m, self.degree, self.modulus))
 
     def terms(self) -> list[tuple[WordKey, int]]:
-        """(word key, coefficient) pairs in preceq order."""
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """(word key, coefficient) pairs in preceq order, which is ascending code order."""
+        codes = sorted(self.codes)
+        return list(zip(_decode(codes, len(self.alphabet)), map(self.codes.get, codes)))
 
     def homogeneous_part(self, d: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.alphabet,
-            self.modulus,
-            self.degree,
-            {key: c for key, c in self.coeffs.items() if len(key) == d},
-        )
+        m = len(self.alphabet)
+        lo, hi = _first_code(d, m), _first_code(d + 1, m)
+        return self._with({w: c for w, c in self.codes.items() if lo <= w < hi})
 
     def __str__(self) -> str:
         # Signed coefficients, balanced residues over Z/p^k, preceq order.
-        if not self.coeffs:
+        if not self.codes:
             return "0"
         chunks = []
         for key, c in self.terms():
@@ -244,24 +229,42 @@ class TruncatedSeries:
         }
 
 
-def _mul_coeffs(
-    f: Mapping[WordKey, int], g: Mapping[WordKey, int], degree: Optional[int]
-) -> dict[WordKey, int]:
-    """The product of two coefficient maps, truncated above degree, unreduced."""
-    cap = math.inf if degree is None else degree
-    by_len: dict[int, list[tuple[WordKey, int]]] = {}
-    for v, cv in g.items():
-        by_len.setdefault(len(v), []).append((v, cv))
-    out: dict[WordKey, int] = {}
-    for u, cu in f.items():
-        room = cap - len(u)
-        for length, items in by_len.items():
-            if length > room:
-                continue
-            for v, cv in items:
-                w = u + v
+def _reduced(codes: dict[int, int], modulus: Optional[int]) -> dict[int, int]:
+    """The nonzero coefficients of a code map, reduced mod modulus unless it is None."""
+    return {w: r for w, c in codes.items() if (r := c % modulus if modulus else c)}
+
+
+def _product(
+    terms: Sequence[tuple[int, dict[int, int], dict[int, int]]],
+    m: int,
+    degree: Optional[int],
+    modulus: Optional[int],
+) -> dict[int, int]:
+    """The sum of c f g over (c, f, g) in terms, on code maps over m letters.
+
+    Truncated above degree (nothing is truncated when it is None), reduced
+    by ``_reduced``.  code(uv) = code(u) m^|v| + code(v), and codes ascend
+    with word length, so each right factor g is sorted by code once, as
+    (code(v), m^|v|, c g_v) triples, and a left word u takes the prefix
+    of the words v with |uv| <= degree: one bisect and one slice.
+    """
+    if degree is None:
+        degree = max(
+            (_length(max(f), m) + _length(max(g), m) for _, f, g in terms if f and g), default=0
+        )
+    ends = [_first_code(n + 1, m) for n in range(degree + 1)]  # length <= n: code < ends[n]
+    out: dict[int, int] = {}
+    for c, f, g in terms:
+        right = sorted(g.items())
+        codes = [v for v, _ in right]
+        # reach[k]: the words v that a word u of length k takes; none past the degree
+        reach = [bisect_left(codes, ends[degree - k]) for k in range(degree + 1)] + [0]
+        right = [(v, m ** bisect_right(ends, v), c * cv) for v, cv in right[: reach[0]]]
+        for u, cu in f.items():
+            for v, scale, cv in right[: reach[bisect_right(ends, u)]]:
+                w = u * scale + v
                 out[w] = out.get(w, 0) + cu * cv
-    return out
+    return _reduced(out, modulus)
 
 
 def _binomials(k: int) -> Iterator[int]:
@@ -286,7 +289,7 @@ def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
     needs a truncation and a unit c: +-1 over exact integers, coprime
     to p over Z/p^k.
     """
-    m, c = f.modulus, f.coeffs.get((), 0)
+    m, c = f.modulus, f.codes.get(0, 0)
     if k < 0:
         if f.degree is None:
             raise ValueError("an untruncated polynomial has no inverse")
@@ -296,20 +299,19 @@ def series_pow(f: TruncatedSeries, k: int) -> TruncatedSeries:
         # negative and exact powers stay ints ((-1) ** -3 is the float -1.0).
         c = pow(c, -1, m) if m else c
     top = f.degree if k < 0 else k if f.degree is None else min(k, f.degree)
-    # powers of g on raw coefficient maps, reduced as they are formed
-    g = {u: v for u, v in f.coeffs.items() if u}
-    out = {(): pow(c, abs(k), m)}
+    # powers of g on code maps, reduced as they are formed
+    g = {u: v for u, v in f.codes.items() if u}
+    out = {0: pow(c, abs(k), m)}
     g_j = g
     for j, binomial in zip(range(1, top + 1), _binomials(k)):
         if j > 1:
-            g_j = _mul_coeffs(g_j, g, f.degree)
-            g_j = {u: r for u, v in g_j.items() if (r := v % m if m else v)}
+            g_j = _product([(1, g_j, g)], len(f.alphabet), f.degree, m)
         if not g_j:
             break
         scale = binomial * pow(c, abs(k - j), m)
         for u, v in g_j.items():
             out[u] = out.get(u, 0) + scale * v
-    return TruncatedSeries(f.alphabet, m, f.degree, out)
+    return TruncatedSeries._from_codes(f.alphabet, m, f.degree, _reduced(out, m))
 
 
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:
@@ -327,19 +329,35 @@ def _word_code(key: WordKey, m: int) -> int:
     return c
 
 
-def _decode(codes: Mapping[int, int], m: int) -> dict[WordKey, int]:
-    # Each word is its parent prefix, code (c - 1) // m, plus one letter,
-    # so every key is one tuple concatenation from its parent's key.
-    keys = {0: ()}
+def _first_code(n: int, m: int) -> int:
+    """The code of the first word of length n: the number of shorter words."""
+    return n if m == 1 else (m**n - 1) // (m - 1)
 
-    def key(c: int) -> WordKey:
-        k = keys.get(c)
-        if k is None:
-            parent, a = divmod(c - 1, m)
-            k = keys[c] = key(parent) + (a,)
-        return k
 
-    return {key(c): v for c, v in codes.items()}
+def _length(c: int, m: int) -> int:
+    # The length of the word with code c: each step drops its last letter.
+    n = 0
+    while c:
+        c, n = (c - 1) // m, n + 1
+    return n
+
+
+def _decode(codes: Iterable[int], m: int) -> list[WordKey]:
+    # The word key of each code.  Each word is its parent prefix, code
+    # (c - 1) // m, plus one letter, so every key is one tuple
+    # concatenation from its parent's key.
+    keys: dict[int, WordKey] = {0: ()}
+    out = []
+    for c in codes:
+        climbed = []
+        while c not in keys:
+            climbed.append(c)
+            c = (c - 1) // m
+        key = keys[c]
+        for c in reversed(climbed):
+            key = keys[c] = key + ((c - 1) % m,)
+        out.append(key)
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -354,8 +372,7 @@ def magnus(
     kept as one map from word code to coefficient per word length, where
     code(u x^j) = code(u) m^j + code(x^j).  With ``limit`` set, a sweep that
     would form more than ``limit`` terms raises ValueError before it is
-    formed.  Results are immutable and cached, keyed by word code until
-    ``coeffs`` is first read.
+    formed.  Results are immutable and cached.
     """
     TruncatedSeries.one(g.alphabet, modulus, degree)  # checks the arguments
     m = len(g.alphabet)
@@ -418,9 +435,10 @@ def inner_product(f: TruncatedSeries, q: TruncatedSeries) -> int:
     """
     if f.alphabet != q.alphabet:
         raise ValueError("series and polynomial over different alphabets")
-    if f.degree is not None and max(map(len, q.coeffs), default=0) > f.degree:
+    beyond = math.inf if f.degree is None else _first_code(f.degree + 1, len(f.alphabet))
+    if max(q.codes, default=0) >= beyond:
         raise ValueError("polynomial degree exceeds series truncation")
-    total = sum(f.coeffs.get(key, 0) * c for key, c in q.coeffs.items())
+    total = sum(f.codes.get(w, 0) * c for w, c in q.codes.items())
     if f.modulus is None:
         return total
     return total % f.modulus
@@ -438,8 +456,10 @@ def koch_test(g: GroupWord, n: int, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if n == 1:
         return True
-    f = magnus(g, p**n, n - 1)
-    return all(c % p ** (n - len(key)) == 0 for key, c in f.coeffs.items() if key)
+    # the words of length s have the codes from ends[s - 1] up to ends[s]
+    ends = [_first_code(s, len(g.alphabet)) for s in range(1, n + 1)]
+    f = magnus(g, p**n, n - 1).codes
+    return all(c % p ** (n - bisect_right(ends, w)) == 0 for w, c in f.items() if w)
 
 
 def lower_central_test(g: GroupWord, n: int) -> bool:

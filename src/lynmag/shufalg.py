@@ -2,9 +2,9 @@
 
 The shuffle of two words sums all interleavings with multiplicity; the
 infiltration also allows matching letters to overlap, and its top-degree
-part is exactly the shuffle.  Both come from one cached recursion, as
-untruncated :class:`~lynmag.series.TruncatedSeries` values with exact
-integer coefficients.
+part is exactly the shuffle.  Both come from one cached recursion on
+word codes, as untruncated :class:`~lynmag.series.TruncatedSeries`
+values with exact integer coefficients.
 
 Row-reducing all pairwise shuffles of a fixed total degree d over F_p
 gives :class:`ShuffleSpanBasis`.  Shuffles preserve letter content, so
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .freegrp import GroupWord
 from .linalg import inverse_mod_p, rref_mod_p
-from .series import TruncatedSeries, WordKey, _word_code, is_prime, magnus
+from .series import TruncatedSeries, WordKey, _first_code, _word_code, is_prime, magnus
 from .words import Alphabet, Word, _lyndon_factors, lyndon_words
 
 # Largest word space m^d that shuffle_span_basis reduces.
@@ -42,22 +42,22 @@ MAX_WORDS = 4096
 
 
 @cache
-def _product_keys(u: WordKey, v: WordKey, overlap: bool) -> dict[WordKey, int]:
-    # Recursion on the last letter of each factor; with overlap, equal
-    # final letters may also land on the same position (infiltration).
+def _product_keys(u: WordKey, v: WordKey, overlap: bool, m: int) -> dict[int, int]:
+    # The shuffle (or, with overlap, the infiltration) of u and v over m
+    # letters, keyed by word code.  Recursion on the last letter a of each
+    # factor, which appends a to every word: code c -> c m + a + 1; with
+    # overlap, equal final letters may also land on the same position.
     # Cached results are shared and must never be mutated by callers.
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    parts = [(u[:-1], v, u[-1:]), (u, v[:-1], v[-1:])]
+    if not u or not v:
+        return {_word_code(u or v, m): 1}
+    parts = [(u[:-1], v, u[-1]), (u, v[:-1], v[-1])]
     if overlap and u[-1] == v[-1]:
-        parts.append((u[:-1], v[:-1], u[-1:]))
-    out: dict[WordKey, int] = {}
+        parts.append((u[:-1], v[:-1], u[-1]))
+    out: dict[int, int] = {}
     for a, b, last in parts:
-        for key, c in _product_keys(a, b, overlap).items():
-            key = key + last
-            out[key] = out.get(key, 0) + c
+        for c, x in _product_keys(a, b, overlap, m).items():
+            c = c * m + last + 1
+            out[c] = out.get(c, 0) + x
     return out
 
 
@@ -66,10 +66,9 @@ def _terms(
     u: WordKey, v: WordKey, overlap: bool, m: int
 ) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
     # |u| + |v|, the word codes of u and v over m letters, and the cached
-    # _product_keys(u, v, overlap) as (word codes, coefficients) tuples.
-    q = _product_keys(u, v, overlap)
-    codes = tuple(_word_code(k, m) for k in q)
-    return len(u) + len(v), _word_code(u, m), _word_code(v, m), codes, tuple(q.values())
+    # _product_keys(u, v, overlap, m) as (word codes, coefficients) tuples.
+    q = _product_keys(u, v, overlap, m)
+    return len(u) + len(v), _word_code(u, m), _word_code(v, m), tuple(q), tuple(q.values())
 
 
 def _check_factors(u: Word, v: Word, sigma: GroupWord | None = None) -> None:
@@ -86,13 +85,15 @@ def _check_factors(u: Word, v: Word, sigma: GroupWord | None = None) -> None:
 def shuffle(u: Word, v: Word) -> TruncatedSeries:
     """Sum over all interleavings of u and v, with multiplicity."""
     _check_factors(u, v)
-    return TruncatedSeries(u.alphabet, None, None, _product_keys(u.indices, v.indices, False))
+    q = _product_keys(u.indices, v.indices, False, len(u.alphabet))
+    return TruncatedSeries._from_codes(u.alphabet, None, None, q)
 
 
 def infiltration(u: Word, v: Word) -> TruncatedSeries:
     """Like shuffle, but positions of equal letters may also coincide."""
     _check_factors(u, v)
-    return TruncatedSeries(u.alphabet, None, None, _product_keys(u.indices, v.indices, True))
+    q = _product_keys(u.indices, v.indices, True, len(u.alphabet))
+    return TruncatedSeries._from_codes(u.alphabet, None, None, q)
 
 
 def _pair(f: dict[int, int], keys: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
@@ -222,11 +223,12 @@ def _reduce_pattern(
     # every shuffle mod p, and the RREF of a row space is unique.
     d = sum(pattern)
     columns = groups[d][pattern]
-    local = {key: j for j, key in enumerate(columns)}
+    k = len(pattern)
+    local = {_word_code(key, k): j for j, key in enumerate(columns)}
     seeds = _seeds(columns)
     seeded = all(i1 % p for *_, i1 in seeds)
     if seeded:
-        shuffles = [_product_keys(l1, rest, False) for l1, rest, _ in seeds]
+        shuffles = [_product_keys(l1, rest, False, k) for l1, rest, _ in seeds]
     else:
         # Shuffle is commutative, so unordered pairs suffice.
         shuffles = []
@@ -236,14 +238,14 @@ def _reduce_pattern(
                 for u in us:
                     for v in vs:
                         if 2 * a < d or u <= v:
-                            shuffles.append(_product_keys(u, v, False))
+                            shuffles.append(_product_keys(u, v, False, k))
     words = np.array(columns, dtype=np.int64)
     if not shuffles:
         return words, np.zeros((0, len(columns)), dtype=np.int64), ()
     block = np.zeros((len(shuffles), len(columns)), dtype=np.int64)
     block[
         [i for i, q in enumerate(shuffles) for _ in q],
-        [local[key] for q in shuffles for key in q],
+        [local[c] for q in shuffles for c in q],
     ] = [c % p for q in shuffles for c in q.values()]
     rows, pivots = rref_mod_p(block, p)
     if seeded and len(pivots) < len(seeds):
@@ -360,10 +362,12 @@ class ShuffleSpanBasis:
             raise ValueError("polynomial over a different alphabet")
         m = len(self.alphabet)
         vec = np.zeros(m**self.degree, dtype=np.int64)
-        for key, c in q.coeffs.items():
-            if len(key) != self.degree:
+        # the words of this degree in lex order have consecutive codes
+        first = _first_code(self.degree, m)
+        for w, c in q.codes.items():
+            if not first <= w < first + len(vec):
                 raise ValueError("polynomial is not homogeneous of this degree")
-            vec[_index(key, m)] = c % self.p
+            vec[w - first] = c % self.p
         return vec
 
     def reduce_vector(self, vec: np.ndarray) -> np.ndarray:

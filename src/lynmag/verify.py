@@ -17,7 +17,7 @@ from .errors import ConsistencyError
 from .freegrp import GroupWord, gr_generators, parse_group_word, tau
 from .matgrp import UnipotentMatrix, generate_group, lower_p_central, rho
 from .pairing import h2_dimension, pairing_matrix, pairing_rows, vanishing_checks
-from .series import TruncatedSeries, koch_test, magnus, p_poly
+from .series import TruncatedSeries, _word_code, koch_test, magnus, p_poly
 from .shufalg import (
     cfl_check,
     palindrome_identity,
@@ -401,9 +401,10 @@ def _check_homomorphism_properties(config: VerifyConfig):
             failures.append(f"rho: w={w} g={g} h={h} mod {modulus}")
         # rho is built from letter matrices, so this compares two routes.
         u, dense = w.indices, rho_g.dense()
-        coeffs = magnus(g, modulus, len(w)).coeffs
+        codes = magnus(g, modulus, len(w)).codes
         spans = combinations(range(len(u) + 1), 2)  # 0-based (i, j), i < j
-        if any(dense[i][j] != coeffs.get(u[i:j], 0) for i, j in spans):
+        m = len(alphabet)
+        if any(dense[i][j] != codes.get(_word_code(u[i:j], m), 0) for i, j in spans):
             failures.append(f"rho vs magnus: w={w} g={g} mod {modulus}")
     details = {"magnus_pairs": magnus_pairs, "rho_pairs": rho_pairs}
     if failures:
@@ -418,17 +419,18 @@ def _check_tau_triangularity(config: VerifyConfig):
         d = len(w)
         f = magnus(tau(w), None, d)
         checked += 1
-        if any(f.homogeneous_part(k).coeffs for k in range(1, d)):
+        if any(f.homogeneous_part(k).codes for k in range(1, d)):
             failures.append(f"{w}: expansion starts below degree {d}")
             continue
         bracket = p_poly(w)
-        if f.homogeneous_part(d).coeffs != bracket.coeffs:
+        if f.homogeneous_part(d).codes != bracket.codes:
             failures.append(f"{w}: leading part differs from bracket polynomial")
             continue
-        if bracket.coeffs.get(w.indices) != 1:
+        if bracket.coefficient(w) != 1:
             failures.append(f"{w}: bracket coefficient of {w} is not 1")
             continue
-        if any(key <= w.indices for key in bracket.coeffs if key != w.indices):
+        # every word of the bracket has length d, so code order is alphabetical
+        if min(bracket.codes) < _word_code(w.indices, len(w.alphabet)):
             failures.append(f"{w}: tail not alphabetically above {w}")
     details = {"words": checked}
     if failures:

@@ -17,10 +17,8 @@ from lynmag.freegrp import (
     parse_group_word,
     power,
     tau,
-    tau_images,
     tau_plan,
 )
-from lynmag.matgrp import UnipotentMatrix
 from lynmag.series import TruncatedSeries, magnus, series_invert, series_pow
 from lynmag.words import Alphabet, lyndon_words, standard_factorization
 
@@ -112,18 +110,16 @@ class TestArithmetic:
 
 class TestPower:
     """``power``, the binary powering behind ``GroupWord`` ``**``.
-    ``series_pow`` and ``UnipotentMatrix`` ``**`` take the binomial
-    series instead and must give the same values."""
+    ``series_pow`` takes the binomial series instead and must give the
+    same values."""
 
     def cases(self):
         rng = random.Random(3)
         g = random_word(rng, XYZ, 5) * gw("x y^-1 z", XYZ)
         f = magnus(g, 27, 4)
-        a = UnipotentMatrix(4, 27, [rng.randrange(27) for _ in range(6)])
         return [
             (g, GroupWord.identity(XYZ), GroupWord.__pow__),
             (f, TruncatedSeries.one(XYZ, 27, 4), series_pow),
-            (a, UnipotentMatrix.identity(4, 27), UnipotentMatrix.__pow__),
         ]
 
     def test_matches_repeated_product(self):
@@ -181,46 +177,6 @@ class TestTauPlan:
             tau_plan([XY.word("x"), XY.word("yx")])
 
 
-class TestTauImages:
-    def test_group_word_target_is_tau(self):
-        words = lyndon_words(XYZ, 4)
-        letter = lambda i: GroupWord(XYZ, ((i, 1),))
-        images = dict(tau_images(words, letter, GroupWord.__mul__, GroupWord.inverse))
-        assert images == {w: tau(w) for w in words}
-
-    def test_series_target_is_magnus_of_tau(self):
-        # Evaluating in the series ring is the Magnus image: a homomorphism.
-        words = lyndon_words(XY, 5)[::-1]
-        letter = lambda i: TruncatedSeries(XY, 27, 5, {(): 1, (i,): 1})
-        images = dict(tau_images(words, letter, lambda a, b: a * b, series_invert))
-        assert images == {w: magnus(tau(w), 27, 5) for w in words}
-
-    def test_each_word_once_shortest_first(self):
-        # Repeated, unsorted words come out once each, in plan order.
-        words = [XYZ.word(t) for t in ("xyzz", "y", "xyy", "xyzz", "xz", "y", "xyy")]
-        letter = lambda i: GroupWord(XYZ, ((i, 1),))
-        images = list(tau_images(words, letter, GroupWord.__mul__, GroupWord.inverse))
-        plan = [step.word for step in tau_plan(words)]
-        assert [w for w, _ in images] == [w for w in plan if w in set(words)]
-        assert sorted(map(str, (w for w, _ in images))) == ["xyy", "xyzz", "xz", "y"]
-        assert all(image == tau(w) for w, image in images)
-
-    def test_letters_inverted_once_per_call(self):
-        inverted = []
-
-        def inv(g):
-            inverted.append(g)
-            return g.inverse()
-
-        letter = lambda i: GroupWord(XY, ((i, 1),))
-        list(tau_images(lyndon_words(XY, 5), letter, GroupWord.__mul__, inv))
-        assert sorted(map(str, inverted)) == ["x", "y"]
-
-    def test_rejects_non_lyndon(self):
-        with pytest.raises(ValueError, match="not a Lyndon word"):
-            list(tau_images([XY.word("yx")], str, str.__add__, str))
-
-
 class TestTau:
     def test_single_letters(self):
         assert tau(XY.word("x")) == gw("x")
@@ -236,9 +192,24 @@ class TestTau:
         assert tau(XYZ.word("xyz")) == commutator(xz, commutator(yz, zz))
         assert tau(XYZ.word("xzy")) == commutator(commutator(xz, zz), yz)
 
+    def test_series_image_is_magnus_of_tau(self):
+        # The same recursion in the series ring, on the letter series
+        # 1 + x, is the Magnus image: magnus is a homomorphism.
+        for alphabet, n in [(XY, 5), (XYZ, 4)]:
+            images = {}
+            for w in lyndon_words(alphabet, n):
+                if len(w) == 1:
+                    images[w] = TruncatedSeries(alphabet, 27, n, {(): 1, w.indices: 1})
+                else:
+                    a, b = (images[f] for f in standard_factorization(w))
+                    images[w] = series_invert(a) * series_invert(b) * a * b
+                assert images[w] == magnus(tau(w), 27, n), w
+
     def test_rejects_non_lyndon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a Lyndon word"):
             tau(XY.word("yx"))
+        with pytest.raises(ValueError, match="not a Lyndon word"):
+            tau(XY.word("xyxy"))
         with pytest.raises(ValueError):
             tau(XY.word(""))
 

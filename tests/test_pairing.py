@@ -382,8 +382,8 @@ class TestSeriesWalk:
         got = dict(PAIRING._tau_parts(tau_plan(request), request, degree, modulus))
         assert set(got) == set(ws)
         for w in ws:
-            want = dict(magnus(tau(w), modulus, degree).coeffs)
-            del want[()]
+            want = dict(magnus(tau(w), modulus, degree).codes)
+            del want[0]
             assert got[w] == want, w
 
 
@@ -418,12 +418,12 @@ class TestFaultInjection:
 
     def test_series_route_truncated_short(self, monkeypatch):
         # every product of the series walk drops its top degree
-        real = PAIRING._combine
+        real = PAIRING._product
 
-        def short(terms, degree, modulus):
-            return real(terms, degree - 1, modulus)
+        def short(terms, m, degree, modulus):
+            return real(terms, m, degree - 1, modulus)
 
-        monkeypatch.setattr(PAIRING, "_combine", short)
+        monkeypatch.setattr(PAIRING, "_product", short)
         with pytest.raises(ConsistencyError, match=r"routes disagree for <xxy, xxy>_3: series 0, matrix 1"):
             pairing_matrix(3, 3, XY)
 

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import lynmag.freegrp as freegrp
 import lynmag.series as series_mod
@@ -128,6 +128,12 @@ class TestSeriesArithmetic:
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
 
+    def test_letter_index_out_of_range(self):
+        # with codes as keys, (2,) over two letters would read as xx
+        for key in [(2,), (0, -1)]:
+            with pytest.raises(ValueError, match="letter index out of range"):
+                TruncatedSeries(XY, None, None, {key: 1})
+
     def test_mismatch_errors(self):
         f = ts(XY, 9, 2, {"x": 1})
         with pytest.raises(ValueError):
@@ -147,6 +153,100 @@ class TestSeriesArithmetic:
         assert series_pow(one_x, 3).coeffs[(0, 0, 0)] == 1
         with pytest.raises(ValueError):
             series_invert(one_x)
+
+
+def tuple_product(terms, degree, modulus):
+    """The sum of c f g over (c, f, g) in terms on word-keyed maps, truncated above
+    degree (None: untruncated), zeros dropped, reduced mod modulus unless None."""
+    cap = math.inf if degree is None else degree
+    out = {}
+    for c, f, g in terms:
+        for u, cu in f.items():
+            for v, cv in g.items():
+                if len(u) + len(v) <= cap:
+                    out[u + v] = out.get(u + v, 0) + c * cu * cv
+    return {w: r for w, x in out.items() if (r := x % modulus if modulus else x)}
+
+
+def encoded(coeffs, m):
+    return {_word_code(k, m): c for k, c in coeffs.items()}
+
+
+KERNEL_ALPHABETS = [Alphabet(("x",)), Alphabet(("x", "yy")), Alphabet(("a1", "b", "c")), Alphabet("xyzt")]
+
+
+@st.composite
+def word_maps(draw, alphabet, top=5):
+    m = len(alphabet)
+    keys = st.lists(st.integers(0, m - 1), max_size=top).map(tuple)
+    values = st.one_of(st.integers(-5, 5), st.integers(-(10**25), 10**25))
+    return draw(st.dictionaries(keys, values, max_size=8))
+
+
+@st.composite
+def kernel_cases(draw):
+    alphabet = draw(st.sampled_from(KERNEL_ALPHABETS))
+    modulus = draw(st.sampled_from([None, 9, 13**3, 2**64]))
+    degree = draw(st.one_of(st.none(), st.integers(0, 8)))
+    f = TruncatedSeries(alphabet, modulus, degree, draw(word_maps(alphabet)))
+    g = TruncatedSeries(alphabet, modulus, degree, draw(word_maps(alphabet)))
+    return f, g
+
+
+class TestCodeKernel:
+    """The one truncated product on code maps against word-keyed references."""
+
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_tuple_product(self, case):
+        f, g = case
+        want = tuple_product([(1, f.coeffs, g.coeffs)], f.degree, f.modulus)
+        got = f * g
+        assert got.codes == encoded(want, len(f.alphabet))
+        assert got.coeffs == want
+
+    @given(kernel_cases(), st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_series_pow_matches_tuple_powers(self, case, k):
+        f, _ = case
+        want = {(): 1}
+        for _ in range(k):
+            want = tuple_product([(1, want, f.coeffs)], f.degree, f.modulus)
+        assert series_pow(f, k).codes == encoded(want, len(f.alphabet))
+
+    @given(kernel_cases(), st.integers(1, 13))
+    @settings(max_examples=200, deadline=None)
+    def test_negative_powers_invert_under_tuple_product(self, case, k):
+        f, _ = case
+        assume(f.degree is not None)
+        m, modulus = len(f.alphabet), f.modulus
+        # a unit constant term: -1 over Z, 5 mod 9, 13^3 and 2^64
+        f = TruncatedSeries(f.alphabet, modulus, f.degree, {**f.coeffs, (): -1 if modulus is None else 5})
+        inv, pos = series_pow(f, -k), series_pow(f, k)
+        assert tuple_product([(1, inv.coeffs, pos.coeffs)], f.degree, modulus) == {(): 1}
+        assert inv.codes == encoded(inv.coeffs, m)
+
+    @given(
+        st.sampled_from(KERNEL_ALPHABETS).flatmap(
+            lambda a: st.tuples(st.just(a), word_maps(a), word_maps(a), word_maps(a))
+        ),
+        st.sampled_from([None, 9, 13**3, 2**64]),
+        st.integers(-2, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_series_route_products(self, maps, modulus, degree):
+        # signed sums of several products, as in [a, b] - 1, down to a
+        # negative degree, where every product is empty
+        alphabet, a, b, one = maps
+        m = len(alphabet)
+        terms = [(1, a, b), (-1, b, a), (3, one, a)]
+        coded = [(c, encoded(f, m), encoded(g, m)) for c, f, g in terms]
+        want = tuple_product(terms, max(degree, -1), modulus) if degree >= 0 else {}
+        got = series_mod._product(coded, m, degree, modulus)
+        assert got == encoded(want, m)
+        assert series_mod._product(coded, m, None, modulus) == encoded(
+            tuple_product(terms, None, modulus), m
+        )
 
 
 class TestInversion:
@@ -425,7 +525,7 @@ def coded_words(draw):
 
 
 class TestWordCodes:
-    """``magnus`` sweeps on word codes; the tuple-keyed map is decoded lazily."""
+    """``magnus`` sweeps on word codes; the tuple-keyed view is decoded on read."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_codes_are_the_preceq_ranks(self, m):

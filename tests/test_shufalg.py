@@ -12,7 +12,7 @@ import lynmag.shufalg as shufalg
 from lynmag.errors import ConsistencyError
 from lynmag.freegrp import GroupWord, parse_group_word
 from lynmag.linalg import rref_mod_p
-from lynmag.series import TruncatedSeries, inner_product, magnus
+from lynmag.series import TruncatedSeries, _word_code, inner_product, magnus
 from lynmag.shufalg import (
     cfl_check,
     infiltration,
@@ -90,6 +90,41 @@ class TestProducts:
                         q = shuffle(u, v)
                         assert infiltration(u, v).homogeneous_part(total) == q
                         assert sum(q.coeffs.values()) == comb(total, a)
+
+
+def product_reference(u, v, overlap):
+    """Word-keyed shuffle (with overlap, infiltration) by the first-letter recursion."""
+    if not u or not v:
+        return {u + v: 1}
+    parts = [(u[:1], u[1:], v), (v[:1], u, v[1:])]
+    if overlap and u[0] == v[0]:
+        parts.append((u[:1], u[1:], v[1:]))
+    out = {}
+    for first, a, b in parts:
+        for w, c in product_reference(a, b, overlap).items():
+            out[first + w] = out.get(first + w, 0) + c
+    return out
+
+
+class TestCodedProducts:
+    """``_product_keys`` builds word codes; word-keyed references check it."""
+
+    @pytest.mark.parametrize(
+        "letters", [("x",), ("x", "yy"), ("a1", "b", "c"), ("x", "y", "z", "t")]
+    )
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_codes_match_word_keyed_reference(self, letters, overlap):
+        alphabet, m = Alphabet(letters), len(letters)
+        rng = random.Random(m)
+        for _ in range(60):
+            u = tuple(rng.randrange(m) for _ in range(rng.randint(0, 5)))
+            v = tuple(rng.randrange(m) for _ in range(rng.randint(0, 5)))
+            want = product_reference(u, v, overlap)
+            got = shufalg._product_keys(u, v, overlap, m)
+            assert got == {_word_code(w, m): c for w, c in want.items()}
+            if u and v:
+                product_of = infiltration if overlap else shuffle
+                assert product_of(Word(alphabet, u), Word(alphabet, v)).coeffs == want
 
 
 # Each congruence: lhs = sum of c * (u shuffle v) + extra, exactly over Z.
@@ -543,7 +578,8 @@ class TestLyndonSeededSpans:
 
     @pytest.mark.parametrize("letters,top", [("xy", 8), ("xyz", 5), ("xyzt", 4)])
     def test_seed_leads_with_its_word(self, letters, top):
-        # The largest word of l1 ш (l2...lk) is w, with coefficient i1.
+        # The largest word of l1 ш (l2...lk) is w, with coefficient i1:
+        # all its words have length d, so the largest word has the largest code.
         m = len(letters)
         for d in range(2, top + 1):
             columns = list(product(range(m), repeat=d))
@@ -552,8 +588,9 @@ class TestLyndonSeededSpans:
             assert len(seeds) == len(words)
             for w, (l1, rest, i1) in zip(words, seeds):
                 assert l1 + rest == w and is_lyndon(Word(Alphabet(letters), l1))
-                q = shufalg._product_keys(l1, rest, False)
-                assert max(q) == w and q[w] == i1
+                q = shufalg._product_keys(l1, rest, False, m)
+                code = _word_code(w, m)
+                assert max(q) == code and q[code] == i1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("letters,top", [("xy", 8), ("xyz", 5), ("xyzt", 4)])

@@ -22,7 +22,7 @@ from .errors import ConsistencyError
 from .freegrp import format_group_word, parse_group_word
 from .matgrp import rho
 from .pairing import pairing_matrix
-from .series import balanced, is_prime, koch_test, magnus, prime_power
+from .series import balanced, format_terms, is_prime, koch_test, magnus, prime_power
 from .shufalg import infiltration, reduce_mod_shuffles, shuffle, shuffle_span_basis
 from .verify import CHECKS, VerifyConfig, run_checks
 from .words import Alphabet, lyndon_words, necklace
@@ -285,12 +285,13 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         shown = repr(args.word if len(args.word) <= 60 else args.word[:57] + "...")
         raise ValueError(f"Magnus image of {shown} at --deg {degree}: {exc}") from exc
+    terms = series.to_json()["terms"]  # decoded once, for the text and the JSON
     payload: dict = {
         "word": format_group_word(g),
         "modulus": config.mod,
         "degree": degree,
-        "series": str(series),
-        "terms": series.to_json()["terms"],
+        "series": format_terms(terms, series.modulus),
+        "terms": terms,
     }
     if args.coeff:
         coeffs = {}

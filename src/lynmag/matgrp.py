@@ -16,7 +16,9 @@ exact Python ints otherwise.  A single matrix has only a scalar product,
 which is faster on one matrix.
 
 The brute-force subgroup engine (``generate_group``, ``lower_p_central``)
-forms at most ``BLOCK`` products per kernel call, which bounds memory.
+keys each matrix by one integer code, its entries as base-modulus digits,
+and keeps its terms as entry-major stacks; a kernel call forms at most
+``BLOCK`` products, or one term's worth, which bounds memory.
 The matrix route of the duality pairing runs on the same kernels:
 ``tau_power_rows`` walks a ``tau_plan`` once, one word length at a time,
 on the letter images ``letter_rows`` of words w' of every length at
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import chain, compress, groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -471,21 +473,64 @@ def tau_power_rows(
             del pairs[u]
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct matrices of an entry-major (E, N) stack, in lexicographic order."""
-    if not len(rows):
-        return rows[:, :1]
-    rows = rows[:, np.lexsort(rows[::-1])]
-    keep = np.ones(rows.shape[1], dtype=bool)
-    keep[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
-    return rows[:, keep]
+def _codes(rows: np.ndarray, modulus: int) -> np.ndarray:
+    """One integer per matrix of an entry-major (E, ...) stack, by Horner's rule.
+
+    The entries are its base-``modulus`` digits, the first most significant,
+    so code order is the lexicographic order of the entries.  int64 when
+    the entries are and modulus^E fits, else exact ints.
+    """
+    fits = rows.dtype == np.int64 and modulus ** len(rows) <= 2**63
+    codes = np.zeros(rows.shape[1:], dtype=np.int64 if fits else object)
+    for row in rows:
+        codes = codes * modulus + row
+    return codes
 
 
-def _pair_blocks(n_a: int, n_b: int):
-    """Index arrays (i, j) that cover all n_a * n_b pairs, BLOCK at a time."""
-    total = n_a * n_b
-    for start in range(0, total, BLOCK):
-        yield np.divmod(np.arange(start, min(start + BLOCK, total)), n_b)
+def _unique_rows(rows: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct matrices of an entry-major (E, ...) stack as (E, K), in code order, and their codes."""
+    codes = _codes(rows, modulus)
+    rows = rows.reshape(len(rows), codes.size)
+    codes, index = np.unique(codes, return_index=True)
+    return rows[:, index], codes
+
+
+def _fresh(blocks: Iterable[np.ndarray], seen: set, modulus: int) -> Iterator[np.ndarray]:
+    """The distinct matrices of each block whose codes are not in ``seen``, which gains them."""
+    for block in blocks:
+        block, codes = _unique_rows(block, modulus)
+        codes = codes.tolist()
+        fresh = [c not in seen for c in codes]
+        seen.update(compress(codes, fresh))
+        if len(seen) > MAX_ORDER:
+            raise ValueError(f"group order exceeds cap {MAX_ORDER}")
+        yield block.compress(fresh, axis=1)
+
+
+def _closure(gens: np.ndarray, size: int, modulus: int) -> np.ndarray:
+    """The group generated by an entry-major (E, G) stack, as an (E, N) stack in code order.
+
+    Each step multiplies frontier chunks, shape (E, c, 1), on the right
+    by every generator, shape (E, 1, G), with c G <= ``BLOCK`` when G allows.
+    """
+    chunk = max(1, BLOCK // max(1, gens.shape[1]))
+    frontier = np.zeros((len(gens), 1), dtype=gens.dtype)
+    levels, seen = [frontier], {0}
+    while frontier.shape[1]:
+        products = (_mul_rows(frontier[:, k : k + chunk, None], gens[:, None], size, modulus)
+                    for k in range(0, frontier.shape[1], chunk))
+        frontier = np.concatenate(list(_fresh(products, seen, modulus)), axis=1)
+        levels.append(frontier)
+    return _unique_rows(np.concatenate(levels, axis=1), modulus)[0]
+
+
+def _table(rows: np.ndarray, size: int, modulus: int) -> FiniteGroupTable:
+    # BLOCK matrices at a time, so only one block of entry lists is alive
+    return FiniteGroupTable(
+        UnipotentMatrix(size, modulus, d)
+        for k in range(0, rows.shape[1], BLOCK)
+        for d in rows[:, k : k + BLOCK].T.tolist()
+    )
 
 
 def generate_group(
@@ -497,9 +542,11 @@ def generate_group(
 
     The generated submonoid of a finite group is the generated subgroup,
     so right multiplication from the identity is enough.  Each step
-    multiplies the whole frontier by every generator.  Raises ValueError
-    when the group order would exceed ``MAX_ORDER``.  ``size`` and ``modulus``
-    are only needed when the generator list is empty.
+    multiplies the whole frontier by every generator; new elements stay
+    entry-major arrays, keyed by a set of integer codes (``_codes``), and
+    the group is sorted once by code.  Raises ValueError when the group
+    order would exceed ``MAX_ORDER``.  ``size`` and ``modulus`` are only
+    needed when the generator list is empty.
 
     Each step has a fixed numpy cost of some tens of microseconds, so
     this is fast for wide, shallow closures (every group the checks
@@ -508,25 +555,10 @@ def generate_group(
     """
     generators = list(generators)
     if generators:
-        size = generators[0].size
-        modulus = generators[0].modulus
+        size, modulus = generators[0].size, generators[0].modulus
     elif size is None or modulus is None:
         raise ValueError("size and modulus required when no generators given")
-    gens = _rows(generators, size, modulus)
-    width = len(gens)
-    seen = {(0,) * width}
-    frontier = np.zeros((width, 1), dtype=gens.dtype)
-    while frontier.shape[1]:
-        new: list[tuple] = []
-        for i, j in _pair_blocks(frontier.shape[1], gens.shape[1]):
-            products = _unique_rows(_mul_rows(frontier[:, i], gens[:, j], size, modulus))
-            fresh = [r for r in map(tuple, products.T.tolist()) if r not in seen]
-            if len(seen) + len(fresh) > MAX_ORDER:
-                raise ValueError(f"group order exceeds cap {MAX_ORDER}")
-            seen.update(fresh)
-            new += fresh
-        frontier = np.array(new, dtype=gens.dtype).reshape(len(new), width).T.copy()
-    return FiniteGroupTable(UnipotentMatrix(size, modulus, d) for d in sorted(seen))
+    return _table(_closure(_rows(generators, size, modulus), size, modulus), size, modulus)
 
 
 def lower_p_central(table: FiniteGroupTable, p: int, n: int) -> FiniteGroupTable:
@@ -535,7 +567,9 @@ def lower_p_central(table: FiniteGroupTable, p: int, n: int) -> FiniteGroupTable
     Term 1 is the whole group; term k+1 is the subgroup generated by all
     p-th powers of term k together with all commutators [g, h] for g in
     the whole group and h in term k.  Computed verbatim over all pairs;
-    no structural shortcuts.
+    no structural shortcuts.  Terms stay entry-major stacks; each chunk
+    of h, shape (E, c, 1), meets the whole group, shape (E, 1, N), with
+    c N <= ``BLOCK`` when N allows, and is deduplicated by code at once.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -543,34 +577,23 @@ def lower_p_central(table: FiniteGroupTable, p: int, n: int) -> FiniteGroupTable
         raise ValueError("n must be positive")
     if not table.elements:
         raise ValueError("empty table")
-    size = table.elements[0].size
-    modulus = table.elements[0].modulus
-    group = _rows(table.elements, size, modulus)
-    group_inv = _inverse_rows(group, size, modulus)
-    current = table
+    if n == 1:
+        return table
+    size, modulus = table.elements[0].size, table.elements[0].modulus
+    term = _rows(table.elements, size, modulus)
+    group, group_inv = term[:, None], _inverse_rows(term, size, modulus)[:, None]
+    chunk = max(1, BLOCK // term.shape[1])
+
+    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _mul_rows(a, b, size, modulus)
+
     for _ in range(n - 1):
-        term = _rows(current.elements, size, modulus)
-        gens = _unique_rows(
-            np.concatenate(
-                [
-                    _pow_rows(term[:, start : start + BLOCK], p, size, modulus)
-                    for start in range(0, term.shape[1], BLOCK)
-                ],
-                axis=1,
-            )
-        )
         term_inv = _inverse_rows(term, size, modulus)
-        for i, j in _pair_blocks(term.shape[1], group.shape[1]):
-            # [g, h] = (g^-1 h^-1)(g h) for g = group[j], h = term[i]
-            left = _mul_rows(group_inv[:, j], term_inv[:, i], size, modulus)
-            right = _mul_rows(group[:, j], term[:, i], size, modulus)
-            gens = _unique_rows(
-                np.concatenate([gens, _mul_rows(left, right, size, modulus)], axis=1)
-            )
-        gens = gens[:, (gens != 0).any(axis=0)]
-        current = generate_group(
-            [UnipotentMatrix(size, modulus, r) for r in gens.T.tolist()],
-            size=size,
-            modulus=modulus,
-        )
-    return current
+        powers = _pow_rows(term, p, size, modulus)
+        hs = [(term[:, k : k + chunk, None], term_inv[:, k : k + chunk, None])
+              for k in range(0, term.shape[1], chunk)]
+        commutators = (mul(mul(group_inv, h_inv), mul(group, h)) for h, h_inv in hs)
+        # the identity, code 0, generates nothing
+        gens = list(_fresh(chain([powers], commutators), {0}, modulus))
+        term = _closure(np.concatenate(gens, axis=1), size, modulus)
+    return _table(term, size, modulus)

@@ -193,25 +193,7 @@ class TruncatedSeries:
         return self._with({w: c for w, c in self.codes.items() if lo <= w < hi})
 
     def __str__(self) -> str:
-        # Signed coefficients, balanced residues over Z/p^k, preceq order.
-        if not self.codes:
-            return "0"
-        chunks = []
-        for key, c in self.terms():
-            if self.modulus is not None:
-                c = balanced(c, self.modulus)
-            word = self.alphabet._spell(key)
-            if not word:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = word
-            else:
-                body = f"{abs(c)}·{word}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+        return format_terms(self.to_json()["terms"], self.modulus)
 
     def __repr__(self) -> str:
         mod = "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -227,6 +209,26 @@ class TruncatedSeries:
                 for key, c in self.terms()
             ],
         }
+
+
+def format_terms(terms: Iterable[dict], modulus: Optional[int]) -> str:
+    """A series as text from its ``to_json`` terms: signed, balanced residues over Z/p^k."""
+    chunks = []
+    for term in terms:
+        word, c = term["word"], term["coeff"]
+        if modulus is not None:
+            c = balanced(c, modulus)
+        if not word:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = word
+        else:
+            body = f"{abs(c)}·{word}"
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks) or "0"
 
 
 def _reduced(codes: dict[int, int], modulus: Optional[int]) -> dict[int, int]:

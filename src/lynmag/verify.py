@@ -271,10 +271,13 @@ def _check_cfl_identity(config: VerifyConfig):
     else:
         sigmas = None
     checked = 0
+    # One instance per distinct word: magnus's cache then matches keys by identity.
+    canon: dict[GroupWord, GroupWord] = {}
     for p in (2, 3, 5):
         if sigmas is None:
             rng = _rng(config, f"cfl:{p}")
             batch = [random_group_word(XY, rng, 8) for _ in range(SIGMA_COUNT)]
+            batch = [canon.setdefault(sigma, sigma) for sigma in batch]
         else:
             batch = sigmas
         for sigma in batch:

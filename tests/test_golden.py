@@ -13,10 +13,8 @@ from lynmag.cli import main
 from lynmag.verify import CHECKS
 
 GOLDEN = Path(__file__).parent / "golden"
-# Every check except the two that take ~10 s each.
-FAST_CHECKS = [
-    name for name in CHECKS if name not in ("matrix-filtration-bruteforce", "cfl-identity")
-]
+# Every check except cfl-identity, which takes over a second.
+FAST_CHECKS = [name for name in CHECKS if name != "cfl-identity"]
 CASES = {
     "verify-seed0.json": ["verify", "--format", "json", "--seed", "0"]
     + [arg for name in FAST_CHECKS for arg in ("--check", name)],

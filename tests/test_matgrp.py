@@ -423,6 +423,16 @@ class TestGenerateGroup:
         table = generate_group([E(2, 2**61, 1, 2, 2**60)])
         assert [m.data for m in table] == [(0,), (2**60,)]
 
+    def test_int64_entries_with_exact_codes(self):
+        # entries fit int64 but 2048^6 does not, so the codes are exact ints
+        m = 2**11
+        gens = [E(4, m, 1, 2, m // 2), E(4, m, 2, 3, m // 2), E(4, m, 3, 4, m // 2),
+                E(4, m, 1, 4, m - 8)]
+        assert matgrp._rows(gens, 4, m).dtype == np.int64
+        table = generate_group(gens)
+        assert len(table) == 2**11
+        assert list(table) == reference_closure(gens, UnipotentMatrix.identity(4, m))
+
     def test_closure_is_a_group(self):
         table = generate_group([E(3, 4, 1, 2), E(3, 4, 2, 3)])
         assert len(table) == 64
@@ -461,6 +471,13 @@ class TestLowerPCentral:
         for h in got:
             for g in table:
                 assert g * h == h * g
+
+    def test_exact_int_entries(self):
+        table = generate_group([E(2, 2**61, 1, 2, 2**60)])
+        assert matgrp._rows(table.elements, 2, 2**61).dtype == object
+        assert [m.data for m in lower_p_central(table, 2, 2)] == [(0,)]
+        for k, want in enumerate(reference_lower_p_central(table, 2, 3), 1):
+            assert list(lower_p_central(table, 2, k)) == want
 
     def test_validates_input(self):
         table = generate_group([E(2, 4, 1, 2)])
@@ -580,8 +597,34 @@ class TestBatchedKernel:
 
     def test_unique_rows_sorts_lexicographically(self):
         rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1]]).T
-        assert matgrp._unique_rows(rows).T.tolist() == [[0, 1], [0, 2], [1, 0]]
-        assert matgrp._unique_rows(np.zeros((0, 3), dtype=np.int64)).shape == (0, 1)
+        unique, codes = matgrp._unique_rows(rows, 3)
+        assert unique.T.tolist() == [[0, 1], [0, 2], [1, 0]]
+        assert codes.tolist() == [1, 2, 3]
+        assert matgrp._unique_rows(np.zeros((0, 3), dtype=np.int64), 3)[0].shape == (0, 1)
+
+    @pytest.mark.parametrize("size, modulus, dtype", [
+        (4, 2**10, np.int64),  # 2^60 fits
+        (4, 2**11, object),  # int64 entries, but 2^66 overflows int64
+        (5, 7**3, object),  # 7^30 overflows
+        (3, 2**61, object),  # exact-int entries
+    ])
+    def test_code_order_is_entry_order(self, size, modulus, dtype):
+        rng = random.Random(size)
+        entries = size * (size - 1) // 2
+        top = UnipotentMatrix(size, modulus, [modulus - 1] * entries)
+        xs = [top] + [
+            UnipotentMatrix(size, modulus, [rng.choice([0, 1, modulus - 1, rng.randrange(modulus)])
+                                            for _ in range(entries)])
+            for _ in range(60)
+        ]
+        codes = matgrp._codes(matgrp._rows(xs, size, modulus), modulus)
+        assert codes.dtype == dtype
+        horner = [sum(v * modulus ** (entries - 1 - t) for t, v in enumerate(x.data)) for x in xs]
+        assert codes.tolist() == horner
+        assert horner[0] == modulus**entries - 1
+        unique, unique_codes = matgrp._unique_rows(matgrp._rows(xs, size, modulus), modulus)
+        assert unique.T.tolist() == [list(d) for d in sorted({x.data for x in xs})]
+        assert unique_codes.tolist() == sorted(set(horner))
 
 
 class TestBinomialPowers:
@@ -635,14 +678,14 @@ def reference_closure(gens, identity):
 
 
 def reference_lower_p_central(table, p, n):
-    """Scalar all-pairs oracle for lower_p_central."""
+    """Scalar all-pairs oracle for lower_p_central: terms 1 to n, in order."""
     identity = UnipotentMatrix.identity(table.elements[0].size, table.elements[0].modulus)
-    term = list(table)
+    terms = [list(table)]
     for _ in range(n - 1):
-        gens = {scalar_power(h, p) for h in term}
-        gens |= {inverse(g) * inverse(h) * g * h for h in term for g in table}
-        term = reference_closure(gens, identity)
-    return term
+        gens = {scalar_power(h, p) for h in terms[-1]}
+        gens |= {inverse(g) * inverse(h) * g * h for h in terms[-1] for g in table}
+        terms.append(reference_closure(gens, identity))
+    return terms
 
 
 def random_lift_generators(rng, s, p, n):
@@ -661,15 +704,18 @@ def random_lift_generators(rng, s, p, n):
 
 class TestAgainstScalarOracle:
     @pytest.mark.parametrize("block", [matgrp.BLOCK, 5])
-    @pytest.mark.parametrize("seed,s,p,n", [(1, 2, 2, 3), (2, 3, 2, 3), (3, 2, 3, 2)])
+    # the last two are shaped like the benchmark's largest cases
+    @pytest.mark.parametrize(
+        "seed,s,p,n", [(1, 2, 2, 3), (2, 3, 2, 3), (3, 2, 3, 2), (4, 1, 3, 5), (5, 2, 5, 2)]
+    )
     def test_every_term_matches(self, monkeypatch, block, seed, s, p, n):
         monkeypatch.setattr(matgrp, "BLOCK", block)
         gens = random_lift_generators(random.Random(seed), s, p, n)
         table = generate_group(gens)
         identity = UnipotentMatrix.identity(s + 1, gens[0].modulus)
         assert list(table) == reference_closure(gens, identity)
-        for k in range(1, n + 2):
-            assert list(lower_p_central(table, p, k)) == reference_lower_p_central(table, p, k)
+        for k, want in enumerate(reference_lower_p_central(table, p, n + 1), 1):
+            assert list(lower_p_central(table, p, k)) == want
 
 
 class TestMatrixJson:

@@ -62,9 +62,10 @@ class GroupWord:
         object.__setattr__(self, "syllables", tuple(_push([], self.syllables)))
         if any(not (0 <= l < m) for l, _ in self.syllables):
             raise ValueError("letter index out of range")
-        # Consistent with the generated equality, without hashing the
-        # alphabet; computed once, since magnus's cache hashes every key.
-        object.__setattr__(self, "_hash", hash(self.syllables))
+        # Hashed once, for magnus's cache, without the alphabet.  x^e counts
+        # as one natural (e -> 2e or -2e - 1), since hash(-1) == hash(-2).
+        codes = ((2 * e if e > 0 else -2 * e - 1) * m + l for l, e in self.syllables)
+        object.__setattr__(self, "_hash", hash(tuple(codes)))
 
     def __eq__(self, other) -> bool:
         # Alphabets last: equal words almost always share one.

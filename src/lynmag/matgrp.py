@@ -22,9 +22,9 @@ and keeps its terms as entry-major stacks; a kernel call forms at most
 The matrix route of the duality pairing runs on the same kernels:
 ``tau_power_rows`` walks a ``tau_plan`` once, one word length at a time,
 on the letter images ``letter_rows`` of words w' of every length at
-once, padded into one batch; ``block_rows`` cuts out any diagonal block,
-so a word can be read off the block of a longer word it is an infix of,
-and ``iota_rows`` reads the central coordinate of a whole batch.
+once, padded into one batch.  ``iota_reader`` reads the central
+coordinate of one diagonal block per column in one pass per batch, so a
+word can be read off the block of a longer word it is an infix of.
 
 ``rho`` builds the unipotent representation attached to a word from
 closed-form syllable images; the (i, j) entry of the image of g is the
@@ -38,7 +38,7 @@ import math
 import operator
 from functools import lru_cache, reduce
 from itertools import chain, compress, groupby
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -216,7 +216,8 @@ def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:
 
     The matrix must lie in I + Z p^(n-s) E_{1,s+1} over Z/p^(n-s+1); its
     corner entry a*p^(n-s) maps to a in 0..p-1.  Anything else is an error:
-    a silent 0 here would mask real inconsistencies downstream.
+    a silent 0 here would mask real inconsistencies downstream.  This is
+    ``iota_reader`` on a batch of one, at place (0, 0, s).
     """
     if not (1 <= s <= n):
         raise ValueError("need 1 <= s <= n")
@@ -224,24 +225,12 @@ def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:
         raise ValueError(f"matrix size {matrix.size} does not match s={s}")
     p, k = prime_power(matrix.modulus)
     if k != n - s + 1:
-        raise ValueError(
-            f"modulus must be p^(n-s+1) = p^{n - s + 1}, got exponent {k}"
-        )
-    pairs = _upper_pairs(matrix.size)
-    corner = None
-    for (i, j), v in zip(pairs, matrix.data):
-        if (i, j) == (1, s + 1):
-            corner = v
-        elif v:
-            raise ValueError(
-                f"matrix is not in the central subgroup: entry ({i},{j}) = {v}"
-            )
-    shift = p ** (n - s)
-    if corner % shift:
-        raise ValueError(
-            f"corner entry {corner} is not divisible by p^(n-s) = {shift}"
-        )
-    return corner // shift
+        raise ValueError(f"modulus must be p^(n-s+1) = p^{n - s + 1}, got exponent {k}")
+    batch = np.array(matrix.data, dtype=object)[:, None, None]
+    values, reject = iota_reader(n, p, s + 1, [(0, 0, s)])(batch)
+    if reject:
+        raise ValueError(reject[2])
+    return int(values[0, 0])
 
 
 class FiniteGroupTable:
@@ -345,34 +334,43 @@ def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
     return result
 
 
-def iota_rows(n: int, s: int, rows: np.ndarray, modulus: int) -> np.ndarray:
-    """``iota`` of every matrix in an entry-major (E, ...) batch of size s+1 over Z/modulus.
+def iota_reader(n: int, p: int, size: int, places: Sequence[tuple[int, int, int]]) -> Callable:
+    """``iota`` of one diagonal block per column, read off batches of ``size``.
 
-    Entries whose matrix ``iota`` would reject come out as -1; call
-    ``iota`` on such a matrix for the reason.
+    Column j reads place (k, start, s) = places[j]: the (s+1)-block of
+    matrix k from row start+1, mod p^(n-s+1), which is rho of the infix
+    c[start : start+s] when matrix k is rho of a word c.  The layout is
+    built once; the returned function maps an (E, G, K) batch over Z/p^N,
+    N >= n - s + 1 for every place, to the (G, J) values and the first
+    rejected (g, j) with the reason ``iota`` gives, or None.
     """
-    p, k = prime_power(modulus)
-    if not (1 <= s <= n and k == n - s + 1 and len(rows) == s * (s + 1) // 2):
-        raise ValueError(f"a batch of size {s + 1} mod {modulus} does not match n={n}")
-    corner = s - 1  # (1, s+1) ends the first row of the layout
-    shift = p ** (n - s)
-    c = rows[corner]
-    central = ~(rows[:corner].any(axis=0) | rows[corner + 1 :].any(axis=0))
-    return np.where(central & (c % shift == 0), c // shift, -1)
+    ks, starts, lengths = (np.array(c) for c in zip(*places))
+    i, j = (np.array(c)[:, None] for c in zip(*_upper_pairs(size)))  # (E, 1) each
+    ends = starts + lengths + 1
+    corner = (i == starts + 1) & (j == ends)  # (E, J)
+    outside = ~((starts < i) & (j <= ends) & ~corner)[:, None]
+    corners, columns = corner.argmax(axis=0), np.arange(len(places))
+    shifts = p ** (n - lengths.astype(object))
+    shifts = shifts.astype(np.int64 if p * shifts.max() < 2**63 else object)
 
+    def read(batch: np.ndarray) -> tuple[np.ndarray, Optional[tuple[int, int, str]]]:
+        blocks = batch[:, :, ks] % (p * shifts)
+        c = blocks[corners, :, columns].T  # (G, J)
+        np.copyto(blocks, 0, where=outside)  # leaves each block's off-corner entries
+        noncentral = blocks.any(axis=0)
+        bad = np.argwhere(noncentral | (c % shifts != 0))
+        if not len(bad):
+            return c // shifts, None
+        g, col = bad[0]
+        if noncentral[g, col]:
+            t, d = np.flatnonzero(blocks[:, g, col])[0], starts[col]
+            reason = ("matrix is not in the central subgroup: "
+                      f"entry ({i[t, 0] - d},{j[t, 0] - d}) = {blocks[t, g, col]}")
+        else:
+            reason = f"corner entry {c[g, col]} is not divisible by p^(n-s) = {shifts[col]}"
+        return c // shifts, (g, col, reason)
 
-def block_rows(rows: np.ndarray, size: int, start: int, k: int, modulus: int) -> np.ndarray:
-    """The k x k diagonal block from row start+1 of every matrix in an (E, ...) batch of ``size``.
-
-    Returns its strictly-upper entries in the layout of size k, reduced
-    mod ``modulus``, a divisor of the batch modulus.  On upper-triangular
-    matrices, taking a diagonal block and reducing it are homomorphisms:
-    the block of a product is the product of blocks.
-    """
-    index = [t for t, (i, j) in enumerate(_upper_pairs(size)) if start < i and j <= start + k]
-    block = rows[index]  # a list index copies, so the reduction can be in place
-    block %= modulus
-    return block
+    return read
 
 
 def letter_rows(words: Sequence[Word], letter: int, size: int, modulus: int) -> np.ndarray:
@@ -381,7 +379,7 @@ def letter_rows(words: Sequence[Word], letter: int, size: int, modulus: int) -> 
     Matrix k is I + sum over the positions i with w_i = x of E_{i,i+1}.
     Words may have any length up to size - 1: a shorter word's
     superdiagonal is zero past its end, so its matrix is its own
-    (|w|+1)-block followed by the identity.
+    (|w|+1)-block, as ``iota_reader`` reads it, followed by the identity.
     """
     index = np.full((size - 1, len(words)), -1)
     for k, w in enumerate(words):
@@ -404,7 +402,7 @@ def tau_power_rows(
 
     ``plan`` is the ``tau_plan`` of ws; ws and words may mix lengths and
     repeat words, in any order.  Every w' is padded into one batch of
-    size max|w'| + 1 over Z/modulus (``letter_rows``), and ``block_rows``
+    size max|w'| + 1 over Z/modulus (``letter_rows``), and ``iota_reader``
     reads its blocks mod any divisor of the modulus.  tau(w) is evaluated
     on the letter images, never expanded into a group word.  The plan is
     walked once, one word length at a time, in chunks of at most

@@ -25,9 +25,9 @@ group word and neither reads ``magnus`` or ``rho``:
   stack, so a whole level of the recursion costs a handful of kernel
   calls.  The covers are the w' that are no proper infix of another
   (``_infix_cover``), padded into one batch.  The diagonal block of
-  rho_c(g) on rows i+1..i+s+1 is rho of the infix c[i : i+s], so each
-  w' reads its own block of a cover mod p^(n-s'+1) (``block_rows``), and
-  the power must land in the central subgroup read by ``iota``.
+  rho_c(g) on rows i+1..i+s+1 is rho of the infix c[i : i+s]; one pass
+  per batch (``iota_reader``) reads each w' off its own block of a cover
+  mod p^(n-s'+1), and the power must land in the central subgroup.
 
 The two routes use different formulas for the commutator, so a slip in
 the truncation of one is caught by the other.  A divisibility failure, a
@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError
 from .freegrp import TauStep, tau_plan
 from .linalg import inverse_mod_p
-from .matgrp import BLOCK, UnipotentMatrix, block_rows, iota, iota_rows, tau_power_rows
+from .matgrp import iota_reader, tau_power_rows
 from .series import TruncatedSeries, _product, _word_code, balanced, is_prime, series_pow
 from .words import Alphabet, Word, lyndon_words, necklace
 
@@ -109,8 +109,8 @@ def _series_rows(
     moduli, shifts = p ** (n - lengths + 1), p ** (n - lengths)
     m = len(alphabet)
     keys = [_word_code(v.indices, m) for v in words]
-    # every coefficient is below modulus; int64 keeps them compact when it can
-    dtype = np.int64 if modulus <= 2**63 else object
+    # the moduli themselves must fit; int64 keeps them compact when they can
+    dtype = np.int64 if modulus < 2**63 else object
     moduli, shifts = moduli.astype(dtype), shifts.astype(dtype)
     done: list[Word] = []
     c = np.zeros((len(set(ws)), len(words)), dtype=dtype)
@@ -164,58 +164,18 @@ def _matrix_rows(
     the diagonal block of its cover at its own place, which is rho of w'.
     """
     covers, places = _infix_cover(words)
-    size = len(covers[0]) + 1
     # the shortest w' reads the largest modulus
     modulus = p ** (n - min(map(len, words)) + 1)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (|w'|, start) -> (column, cover)
-    for j, (v, (k, start)) in enumerate(zip(words, places)):
-        groups.setdefault((len(v), start), []).append((j, k))
-    reads = [(s, start, *map(np.array, zip(*group))) for (s, start), group in sorted(groups.items())]
+    read = iota_reader(n, p, len(covers[0]) + 1, [(*at, len(v)) for v, at in zip(words, places)])
     out = np.zeros((len(ws), len(words)), dtype=np.int64)
     row = {w: i for i, w in enumerate(ws)}  # one row per distinct word
-    for done, batch in _joined(tau_power_rows(plan, ws, covers, n, p, modulus), len(covers)):
-        rows = np.array([row[w] for w in done])[:, None]
-        for s, start, cols, ks in reads:
-            block_modulus = p ** (n - s + 1)
-            block = block_rows(batch[..., ks], size, start, s + 1, block_modulus)
-            values = iota_rows(n, s, block, block_modulus)
-            if (values < 0).any():
-                g, k = np.argwhere(values < 0)[0]
-                w, w_prime = done[g], words[cols[k]]
-                try:
-                    iota(n, s, UnipotentMatrix(s + 1, block_modulus, block[:, g, k].tolist()))
-                except ValueError as exc:
-                    raise ConsistencyError(
-                        f"matrix route failed for <{w}, {w_prime}>_{n}: {exc}"
-                    ) from exc
-            out[rows, cols] = values
+    for done, batch in tau_power_rows(plan, ws, covers, n, p, modulus):
+        values, reject = read(batch)
+        if reject:
+            g, j, reason = reject
+            raise ConsistencyError(f"matrix route failed for <{done[g]}, {words[j]}>_{n}: {reason}")
+        out[[row[w] for w in done]] = values
     return out[[row[w] for w in ws]]
-
-
-def _joined(
-    pieces: Iterable[tuple[list[Word], np.ndarray]], width: int
-) -> Iterator[tuple[list[Word], np.ndarray]]:
-    """Consecutive (words w, batch) pieces side by side, up to BLOCK matrices at a time.
-
-    Every batch holds ``width`` words w' per word w, so each read of a
-    joined batch covers the words w of several pieces at once.
-    """
-    pending: list[tuple[list[Word], np.ndarray]] = []
-    held = 0
-    for done, batch in pieces:
-        if pending and (held + len(done)) * width > BLOCK:
-            yield _join(pending)
-            pending, held = [], 0
-        pending.append((done, batch))
-        held += len(done)
-    if pending:
-        yield _join(pending)
-
-
-def _join(pieces: list[tuple[list[Word], np.ndarray]]) -> tuple[list[Word], np.ndarray]:
-    if len(pieces) == 1:
-        return pieces[0]
-    return [w for done, _ in pieces for w in done], np.concatenate([b for _, b in pieces], axis=1)
 
 
 def pairing_rows(ws: Sequence[Word], words: Sequence[Word], n: int, p: int) -> np.ndarray:

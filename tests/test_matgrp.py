@@ -16,10 +16,9 @@ from lynmag.freegrp import GroupWord, parse_group_word, power, tau, tau_plan
 from lynmag.matgrp import (
     FiniteGroupTable,
     UnipotentMatrix,
-    block_rows,
     generate_group,
     iota,
-    iota_rows,
+    iota_reader,
     letter_rows,
     lower_p_central,
     rho,
@@ -129,6 +128,13 @@ def rho_reference(w: Word, g: GroupWord, modulus: int) -> UnipotentMatrix:
     pairs = [(i, j) for i in range(1, size) for j in range(i + 1, size + 1)]
     entries = {(i, j): f.get(u[i - 1 : j - 1], 0) for i, j in pairs}
     return UnipotentMatrix.from_entries(size, modulus, entries)
+
+
+def block(column, size: int, start: int, k: int, modulus: int) -> UnipotentMatrix:
+    """The k x k diagonal block from row start+1 of one matrix of a batch, mod modulus."""
+    d = UnipotentMatrix(size, modulus, column.tolist()).dense()
+    entries = {(i, j): d[start + i - 1][start + j - 1] for i in range(1, k) for j in range(i + 1, k + 1)}
+    return UnipotentMatrix.from_entries(k, modulus, entries)
 
 
 group_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-40, 40)), max_size=8).map(
@@ -291,7 +297,7 @@ class TestPairingBatches:
             rows = letter_rows(words, letter, 4, 9)
             assert rows.shape == (6, 4)
             for w, r in zip(words, rows.T):
-                assert tuple(block_rows(r, 4, 0, len(w) + 1, 9).tolist()) == rho_reference(w, g, 9).data
+                assert block(r, 4, 0, len(w) + 1, 9) == rho_reference(w, g, 9)
                 assert tuple(r.tolist()) == UnipotentMatrix.from_entries(4, 9, {
                     (i, i + 1): 1 for i in range(1, len(w) + 1) if w.indices[i - 1] == letter
                 }).data
@@ -312,8 +318,7 @@ class TestPairingBatches:
                 for start, end in itertools.combinations(range(len(v) + 1), 2):
                     u = v[start:end]
                     modulus = p ** (n - len(u) + 1)
-                    block = block_rows(r, size, start, len(u) + 1, modulus)
-                    assert tuple(block.tolist()) == rho_reference(u, g, modulus).data
+                    assert block(r, size, start, len(u) + 1, modulus) == rho_reference(u, g, modulus)
 
     @pytest.mark.parametrize("block", [4096, 5])
     def test_tau_power_rows_are_rho_of_powers(self, block, monkeypatch):
@@ -358,8 +363,8 @@ class TestPairingBatches:
             walks = 0
             for done, batch in self.walk(ws, [words[k] for k in cols], n, p):
                 for w, rows in zip(done, batch.swapaxes(0, 1)):
-                    want = block_rows(mixed[w][:, cols], size, 0, s + 1, modulus)
-                    assert rows.tolist() == want.tolist()
+                    for r, k in zip(rows.T, cols):
+                        assert tuple(r.tolist()) == block(mixed[w][:, k], size, 0, s + 1, modulus).data
                     walks += 1
             assert walks == len(ws)
 
@@ -376,21 +381,62 @@ class TestPairingBatches:
         pairing_matrix(5, 7, XYZ)
         assert len(calls) <= 29
 
-    def test_iota_rows_match_iota(self):
-        rng = random.Random(4)
-        n, s, modulus = 4, 2, 27
-        mats = [E(3, modulus, 1, 3, 9 * a) for a in range(3)]
-        mats += [E(3, modulus, 1, 3, rng.randrange(1, 27)) for _ in range(5)]
-        mats += [E(3, modulus, 1, 2, 9), E(3, modulus, 2, 3, 1) * E(3, modulus, 1, 3, 9)]
-        rows = np.array([m.data for m in mats]).T
-        for m, got in zip(mats, iota_rows(n, s, rows, modulus).tolist()):
-            try:
-                want = iota(n, s, m)
-            except ValueError:
-                want = -1
-            assert got == want
-        with pytest.raises(ValueError):
-            iota_rows(3, s, rows, modulus)
+    def test_iota_reader_matches_iota(self):
+        # Two covers of size 5; column j reads the (s+1)-block of cover k from
+        # row start+1, at places (k, start, s).  Every entry of a good matrix
+        # is a multiple of the block moduli it must vanish under, so each
+        # read has to reduce before it checks.
+        places = [(0, 0, 4), (0, 1, 2), (1, 2, 1), (1, 0, 3)]
+        for p, n in [(3, 5), (13, 9)]:
+            def shift(s):
+                return p ** (n - s)
+
+            values = [1, p - 1, 2, 0]
+            good = [
+                {(1, 5): values[0] * shift(4) + 7 * shift(3), (4, 5): 3 * shift(3),
+                 (2, 4): values[1] * shift(2), (2, 3): 2 * shift(1), (3, 4): 5 * shift(1)},
+                # entries (., 5) lie outside every block of cover 1
+                {(3, 4): values[2] * shift(1), (1, 4): values[3] * shift(3),
+                 (1, 2): 4 * shift(2), (1, 5): 1, (2, 5): 2, (3, 5): 3, (4, 5): 4},
+            ]
+
+            def bumped(k, pair, by):
+                covers = [dict(c) for c in good]
+                covers[k][pair] += by
+                return covers
+
+            # each bad row's first rejected column and iota's reason for it
+            rows = [
+                (good, None),
+                (bumped(0, (3, 4), shift(2)), (1, "matrix is not in the central subgroup: "
+                                                  f"entry (2,3) = {shift(2)}")),
+                (bumped(1, (3, 4), 1), (2, f"corner entry {values[2] * shift(1) + 1} "
+                                           f"is not divisible by p^(n-s) = {shift(1)}")),
+                (bumped(1, (1, 2), shift(3)), (3, "matrix is not in the central subgroup: "
+                                                  f"entry (1,2) = {shift(3)}")),
+                (bumped(0, (1, 5), 1), (0, f"corner entry {values[0] * shift(4) + 1} "
+                                           f"is not divisible by p^(n-s) = {shift(4)}")),
+            ]
+            mats = [UnipotentMatrix.from_entries(5, p**n, e) for covers, _ in rows for e in covers]
+            batch = matgrp._rows(mats, 5, p**n).reshape(10, len(rows), 2)
+            assert batch.dtype == (object if p == 13 else np.int64)
+            read = iota_reader(n, p, 5, places)
+            got, reject = read(batch)
+            assert got[0].tolist() == values
+            assert reject == (1, *rows[1][1])
+            for g, (covers, want) in enumerate(rows):
+                got, reject = read(batch[:, g : g + 1])
+                assert reject == (None if want is None else (0, *want))
+                for j, (k, start, s) in enumerate(places):
+                    # scalar iota on the dense slice agrees with a read of this one place
+                    column = batch[:, g : g + 1, k]
+                    got, reject = iota_reader(n, p, 5, [(0, start, s)])(column[:, :, None])
+                    try:
+                        want_value = iota(n, s, block(column[:, 0], 5, start, s + 1, shift(s - 1)))
+                    except ValueError as exc:
+                        assert reject == (0, 0, str(exc))
+                    else:
+                        assert reject is None and got[0, 0] == want_value
 
 
 class TestGenerateGroup:

@@ -60,6 +60,11 @@ class TestPairingValues:
         r = pairing(XY.word("x"), XY.word("x"), 3, 5)
         assert type(r) is int and r == 1 and 0 <= r < 5
 
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    def test_moduli_at_the_int64_edge(self, n):
+        # p^(n-|w'|+1) = 2^63 is one past int64; both routes must hold it exactly
+        assert pairing_rows([XY.word("x")], [XY.word("x"), XY.word("y")], n, 2).tolist() == [[1, 0]]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             pairing(XY.word("yx"), XY.word("x"), 2, 3)  # not Lyndon

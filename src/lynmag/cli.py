@@ -397,16 +397,15 @@ def cmd_shuffle(config: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(
             f"shuffle of ({u}) and ({v}): {count} interleavings, more than {MAX_INTERLEAVINGS}"
         )
-    sh = shuffle(u, v)
-    payload = {"u": str(u), "v": str(v), "shuffle": {"terms": sh.to_json()["terms"]}}
+    # each product decoded once, for the text and the JSON; both are over Z
+    payload = {"u": str(u), "v": str(v), "shuffle": {"terms": shuffle(u, v).to_json()["terms"]}}
     if args.infiltration:
         payload["infiltration"] = {"terms": infiltration(u, v).to_json()["terms"]}
     if config.fmt == "json":
         emit_json(payload, config)
     else:
-        lines = [f"({u}) shuffle ({v}) = {sh}"]
-        if args.infiltration:
-            lines.append(f"({u}) infiltration ({v}) = {infiltration(u, v)}")
+        lines = [f"({u}) {name} ({v}) = {format_terms(payload[name]['terms'], None)}"
+                 for name in ("shuffle", "infiltration") if name in payload]
         emit("\n".join(lines), config)
     return 0
 

@@ -146,7 +146,8 @@ def tau_plan(words: Iterable[Word]) -> list[TauStep]:
     Each word of the closure appears once, shortest first (then
     alphabetically), so both factors of a word come before it.  A word
     with a nonzero ``last_use`` is a factor of a longer word: only those
-    need their inverse, and only until the words of that length are formed.
+    are kept (the series route also keeps their truncated inverse), and
+    only until the words of that length are formed.
     The given words are checked to be Lyndon; their factors are Lyndon by
     construction and are split unchecked.
     """

@@ -406,59 +406,38 @@ def tau_power_rows(
     reads its blocks mod any divisor of the modulus.  tau(w) is evaluated
     on the letter images, never expanded into a group word.  The plan is
     walked once, one word length at a time, in chunks of at most
-    ``BLOCK`` matrices (one word when its batch alone is larger): six
-    ``_mul_rows`` calls form [a, b] for every word of a chunk and [b, a]
-    for those that are factors of longer words.  A factor's (image,
-    inverse) pair is stored as int32 when the modulus allows, widened as
-    it is gathered, and dropped after its last use.  The words of ws in a
-    chunk share their exponent, so each chunk is powered by one
-    ``_pow_rows`` call as soon as it is formed.  Yields (those words,
-    batch of shape (E, G, len(words))); each distinct word comes once.
+    ``BLOCK`` matrices (one word when its batch alone is larger).  Every
+    word of a chunk is formed at once as [a, b] = (ba)^-1 (ab) from the
+    images of its factors: three ``_mul_rows`` calls and one
+    ``_inverse_rows`` call.  Only a factor's image is kept, and only until
+    the words of its last use are formed.  The words of ws in a chunk
+    share their exponent, so each chunk is powered by one ``_pow_rows``
+    call as soon as it is formed.  Yields (those words, batch of shape
+    (E, G, len(words))); each distinct word comes once.
     """
     size = max(map(len, words)) + 1
-    dtype = _dtype(size, modulus)
-    stored = np.int32 if modulus <= 2**31 else dtype
     chunk = max(1, BLOCK // len(words))
     wanted = set(ws)
 
     def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _mul_rows(a, b, size, modulus)
 
-    def bracket(steps: list[TauStep], u: int) -> np.ndarray:
-        # [a, b] = ((a^-1 b^-1) a) b with a the factor u of each step; each
-        # stack is gathered just before its product, so at most three live.
-        def gather(side: int, part: int) -> np.ndarray:
-            return np.stack(
-                [pairs[step.factors[side]][part] for step in steps], axis=1, dtype=dtype
-            )
-
-        return mul(mul(mul(gather(u, 1), gather(1 - u, 1)), gather(u, 0)), gather(1 - u, 0))
-
-    pairs: dict[Word, tuple[np.ndarray, np.ndarray]] = {}
+    images: dict[Word, np.ndarray] = {}  # factor -> its (E, K) image, a view of its chunk
     expiring: dict[int, list[Word]] = {}  # last use -> factors to drop after it
     for length, level in groupby(plan, key=lambda step: len(step.word)):
-        level = sorted(level, key=lambda step: not step.last_use)  # factors first
+        level = list(level)
         for start in range(0, len(level), chunk):
             steps = level[start : start + chunk]
             if length == 1:
-                image = np.stack(
-                    [letter_rows(words, step.word.indices[0], size, modulus) for step in steps],
-                    axis=1,
-                )
+                letters = (step.word.indices[0] for step in steps)
+                image = np.stack([letter_rows(words, x, size, modulus) for x in letters], axis=1)
             else:
-                image = bracket(steps, 0)
-            factors = [step for step in steps if step.last_use]
-            if factors:
-                inverse = (
-                    _inverse_rows(image[:, : len(factors)], size, modulus)
-                    if length == 1
-                    else bracket(factors, 1)
-                )
-                # one contiguous (E, K) image and inverse per factor
-                images = image[:, : len(factors)].swapaxes(0, 1).astype(stored, order="C")
-                inverses = inverse.swapaxes(0, 1).astype(stored, order="C")
-                for step, pair in zip(factors, zip(images, inverses)):
-                    pairs[step.word] = pair
+                a, b = (np.stack([images[step.factors[side]] for step in steps], axis=1)
+                        for side in (0, 1))
+                image = mul(_inverse_rows(mul(b, a), size, modulus), mul(a, b))
+            for r, step in enumerate(steps):
+                if step.last_use:
+                    images[step.word] = image[:, r]
                     expiring.setdefault(step.last_use, []).append(step.word)
             hits = [r for r, step in enumerate(steps) if step.word in wanted]
             if hits:
@@ -468,7 +447,7 @@ def tau_power_rows(
                     base, p ** (n - length), size, modulus
                 )
         for u in expiring.pop(length, ()):
-            del pairs[u]
+            del images[u]
 
 
 def _codes(rows: np.ndarray, modulus: int) -> np.ndarray:

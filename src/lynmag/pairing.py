@@ -19,15 +19,16 @@ group word and neither reads ``magnus`` or ``rho``:
   p^(n-|w|) by ``series_pow`` as soon as it is formed; then every
   coefficient of every w' is read mod p^(n-s'+1), checked for
   divisibility by p^(n-s') and divided, in one array pass;
-- matrix route: tau(w) as ((a^-1 b^-1) a) b on the letter matrices
+- matrix route: tau(w) as (ba)^-1 (ab) on the letter matrices
   I + sum E_{i,i+1} of the cover words, on the entry-major kernels of
-  ``matgrp`` (``tau_power_rows``): all words w of one length form one
-  stack, so a whole level of the recursion costs a handful of kernel
-  calls.  The covers are the w' that are no proper infix of another
-  (``_infix_cover``), padded into one batch.  The diagonal block of
-  rho_c(g) on rows i+1..i+s+1 is rho of the infix c[i : i+s]; one pass
-  per batch (``iota_reader``) reads each w' off its own block of a cover
-  mod p^(n-s'+1), and the power must land in the central subgroup.
+  ``matgrp`` (``tau_power_rows``), keeping only the image of each
+  factor: all words w of one length form one stack, so a whole level of
+  the recursion costs three products and one inverse.  The covers are
+  the w' that are no proper infix of another (``_infix_cover``), padded
+  into one batch.  The diagonal block of rho_c(g) on rows i+1..i+s+1 is
+  rho of the infix c[i : i+s]; one pass per batch (``iota_reader``)
+  reads each w' off its own block of a cover mod p^(n-s'+1), and the
+  power must land in the central subgroup.
 
 The two routes use different formulas for the commutator, so a slip in
 the truncation of one is caught by the other.  A divisibility failure, a

@@ -39,6 +39,8 @@ from .words import Alphabet, Word, _lyndon_factors, lyndon_words
 
 # Largest word space m^d that shuffle_span_basis reduces.
 MAX_WORDS = 4096
+# Largest |u| + |v| that _product_keys takes; it recurses once per letter.
+MAX_PRODUCT_LETTERS = 256
 
 
 @cache
@@ -48,6 +50,9 @@ def _product_keys(u: WordKey, v: WordKey, overlap: bool, m: int) -> dict[int, in
     # factor, which appends a to every word: code c -> c m + a + 1; with
     # overlap, equal final letters may also land on the same position.
     # Cached results are shared and must never be mutated by callers.
+    # Only cache misses run this body, so hits skip the length check.
+    if len(u) + len(v) > MAX_PRODUCT_LETTERS:
+        raise ValueError(f"shuffle of {len(u)} + {len(v)} letters exceeds cap {MAX_PRODUCT_LETTERS}")
     if not u or not v:
         return {_word_code(u or v, m): 1}
     parts = [(u[:-1], v, u[-1]), (u, v[:-1], v[-1])]

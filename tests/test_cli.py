@@ -24,6 +24,7 @@ from lynmag.cli import (
     main,
 )
 from lynmag.errors import ConsistencyError
+from lynmag.series import TruncatedSeries
 
 
 def run(argv, capsys):
@@ -221,8 +222,21 @@ class TestShuffle:
             ["shuffle", "xy", "xz", "--alphabet", "xyz", "--infiltration"], capsys
         )
         assert code == 0
-        assert "2·xxyz" in out
-        assert "infiltration" in out
+        assert out == (
+            "(xy) shuffle (xz) = 2·xxyz + 2·xxzy + xyxz + xzxy\n"
+            "(xy) infiltration (xz) = xyz + xzy + 2·xxyz + 2·xxzy + xyxz + xzxy\n"
+        )
+
+    def test_product_text_decodes_each_product_once(self, capsys, monkeypatch):
+        # The text is formatted from the terms the JSON would print: one
+        # to_json per product, not a second decode for the text.
+        calls = []
+        real = TruncatedSeries.to_json
+        monkeypatch.setattr(TruncatedSeries, "to_json", lambda self: calls.append(1) or real(self))
+        argv = ["shuffle", "xyztxyztx", "tzyxtzyxt", "--alphabet", "xyzt", "--infiltration"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.count("\n") == 2
+        assert len(calls) == 2
 
     def test_product_json(self, capsys):
         code, out, _ = run(["shuffle", "x", "y", "--format", "json"], capsys)

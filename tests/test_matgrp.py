@@ -347,6 +347,20 @@ class TestPairingBatches:
         # each distinct word once, however often ws repeats it
         assert sorted(map(str, seen)) == sorted(set(names))
 
+    @pytest.mark.parametrize("block", [4, 8, matgrp.BLOCK])
+    def test_factor_and_non_factor_share_a_chunk(self, block, monkeypatch):
+        # Level 3 holds xxy, a factor of nothing, then xyy, the factor of
+        # xxyy.  With four w', BLOCK 4 splits it into chunks of one word;
+        # BLOCK 8 and the default keep both words in one chunk.
+        monkeypatch.setattr(matgrp, "BLOCK", block)
+        ws = [XY.word(t) for t in ("xy", "xxy", "xyy", "xxyy")]
+        words = [XY.word(t) for t in ("xxyy", "xyy", "xy", "y")]
+        seen = []
+        for done, batch in self.walk(ws, words, 5, 3):
+            self.assert_blocks_are_rho_of_powers(done, batch, words, 5, 3)
+            seen += done
+        assert sorted(seen, key=str) == sorted(ws, key=str)
+
     @pytest.mark.parametrize("n, p", [(4, 3), (5, 13), (9, 13)])
     def test_one_walk_matches_walks_per_length(self, n, p):
         # One batch for all lengths reads the same blocks as one walk per
@@ -370,16 +384,20 @@ class TestPairingBatches:
 
     def test_kernel_calls_per_level_not_per_word(self, monkeypatch):
         # The xyz n=5 p=7 matrix walks the tau recursion once, on one batch
-        # of size 6: 6 calls per level from 2 to 4, 3 at the top (no
-        # factors to invert), none for letters.  A power stops at the first
-        # N^j that vanishes, and a weight-L image has N^j = 0 once jL >= 6:
-        # levels 1 to 4 take 4, 2, 1 and 1 calls, the top level's exponent
-        # 1 none.  3*6 + 3 + 4 + 2 + 1 + 1 = 29.
-        calls = []
-        real = matgrp._mul_rows
-        monkeypatch.setattr(matgrp, "_mul_rows", lambda *args: calls.append(1) or real(*args))
+        # of size 6: each level from 2 to 5 forms [a, b] = (ba)^-1 (ab) by
+        # three products and one inverse, and letters take none.  A power
+        # stops at the first N^j that vanishes, and a weight-L image has
+        # N^j = 0 once jL >= 6: levels 1 to 4 take 4, 2, 1 and 1 products,
+        # the top level's exponent 1 none.  4*3 + 4 + 2 + 1 + 1 = 20.
+        calls = {"_mul_rows": 0, "_inverse_rows": 0}
+        for name in calls:
+            def counted(*args, real=getattr(matgrp, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(matgrp, name, counted)
         pairing_matrix(5, 7, XYZ)
-        assert len(calls) <= 29
+        assert calls["_mul_rows"] <= 20 and calls["_inverse_rows"] <= 4
 
     def test_iota_reader_matches_iota(self):
         # Two covers of size 5; column j reads the (s+1)-block of cover k from

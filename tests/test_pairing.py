@@ -321,7 +321,7 @@ class TestRowsAgainstReference:
         want = pairing_rows(ws, words, 2, 13)
         assert np.array_equal(pairing_rows(ws, words, 9, 13), want)
         assert want[2].tolist() == [0, 0, 1, 12, 0]
-        # 2^31: factor pairs fit int32, but products of size 3 need exact ints
+        # 2^31: products of size 3 overflow int64, so the matrix route takes exact ints
         assert np.array_equal(pairing_rows(ws, words, 31, 2), pairing_rows(ws, words, 2, 2))
 
     def test_repeated_unsorted_words(self):

@@ -69,6 +69,26 @@ class TestProducts:
         with pytest.raises(ValueError):
             shuffle(XY.word("x"), XYZ.word("y"))
 
+    def test_length_bound(self):
+        # _product_keys recurses once per letter, so |u| + |v| is bounded well
+        # below the recursion limit.  The bound is checked only on cache
+        # misses, so the cache is cleared first.
+        x = Alphabet(("x",))
+        bound = shufalg.MAX_PRODUCT_LETTERS
+        half = x.word("x" * (bound // 2))
+        shufalg._product_keys.cache_clear()
+        assert shuffle(half, half).coefficient(x.word("x" * bound)) == comb(bound, bound // 2)
+        assert infiltration(half, half).coefficient(x.word("x" * bound)) == comb(bound, bound // 2)
+        over = x.word("x" * (bound // 2 + 1))
+        for product_ in (shuffle, infiltration):
+            with pytest.raises(ValueError, match=f"exceeds cap {bound}"):
+                product_(half, over)
+        long = x.word("x" * 256)
+        with pytest.raises(ValueError, match=f"exceeds cap {bound}"):
+            shuffle(long, long)
+        with pytest.raises(ValueError, match=f"exceeds cap {bound}"):
+            shuffle_span_basis(512, 2, x)
+
     def test_commutative_and_homogeneous(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -23,8 +23,8 @@ The matrix route of the duality pairing runs on the same kernels:
 ``tau_power_rows`` walks a ``tau_plan`` once, one word length at a time,
 on the letter images ``letter_rows`` of words w' of every length at
 once, padded into one batch.  ``iota_reader`` reads the central
-coordinate of one diagonal block per column in one pass per batch, so a
-word can be read off the block of a longer word it is an infix of.
+coordinate of one top-left block per column in one pass per batch, so a
+word can be read off the block of a longer word it is a prefix of.
 
 ``rho`` builds the unipotent representation attached to a word from
 closed-form syllable images; the (i, j) entry of the image of g is the
@@ -217,7 +217,7 @@ def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:
     The matrix must lie in I + Z p^(n-s) E_{1,s+1} over Z/p^(n-s+1); its
     corner entry a*p^(n-s) maps to a in 0..p-1.  Anything else is an error:
     a silent 0 here would mask real inconsistencies downstream.  This is
-    ``iota_reader`` on a batch of one, at place (0, 0, s).
+    ``iota_reader`` on a batch of one, at place (0, s).
     """
     if not (1 <= s <= n):
         raise ValueError("need 1 <= s <= n")
@@ -227,7 +227,7 @@ def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:
     if k != n - s + 1:
         raise ValueError(f"modulus must be p^(n-s+1) = p^{n - s + 1}, got exponent {k}")
     batch = np.array(matrix.data, dtype=object)[:, None, None]
-    values, reject = iota_reader(n, p, s + 1, [(0, 0, s)])(batch)
+    values, reject = iota_reader(n, p, s + 1, [(0, s)])(batch)
     if reject:
         raise ValueError(reject[2])
     return int(values[0, 0])
@@ -236,20 +236,16 @@ def iota(n: int, s: int, matrix: UnipotentMatrix) -> int:
 class FiniteGroupTable:
     """An explicit finite group of unipotent matrices."""
 
-    __slots__ = ("elements", "_members")
+    __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[UnipotentMatrix]):
         self.elements = tuple(elements)
-        self._members = frozenset(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, m: UnipotentMatrix) -> bool:
-        return m in self._members
 
     def __repr__(self) -> str:
         return f"FiniteGroupTable({len(self.elements)} elements)"
@@ -334,21 +330,20 @@ def _pow_rows(a: np.ndarray, k: int, size: int, modulus: int) -> np.ndarray:
     return result
 
 
-def iota_reader(n: int, p: int, size: int, places: Sequence[tuple[int, int, int]]) -> Callable:
-    """``iota`` of one diagonal block per column, read off batches of ``size``.
+def iota_reader(n: int, p: int, size: int, places: Sequence[tuple[int, int]]) -> Callable:
+    """``iota`` of one top-left block per column, read off batches of ``size``.
 
-    Column j reads place (k, start, s) = places[j]: the (s+1)-block of
-    matrix k from row start+1, mod p^(n-s+1), which is rho of the infix
-    c[start : start+s] when matrix k is rho of a word c.  The layout is
-    built once; the returned function maps an (E, G, K) batch over Z/p^N,
-    N >= n - s + 1 for every place, to the (G, J) values and the first
-    rejected (g, j) with the reason ``iota`` gives, or None.
+    Column j reads place (k, s) = places[j]: the top-left (s+1)-block of
+    matrix k, mod p^(n-s+1), which is rho of the prefix c[:s] when matrix
+    k is rho of a word c.  The layout is built once; the returned function
+    maps an (E, G, K) batch over Z/p^N, N >= n - s + 1 for every place, to
+    the (G, J) values and the first rejected (g, j) with the reason
+    ``iota`` gives, or None.
     """
-    ks, starts, lengths = (np.array(c) for c in zip(*places))
+    ks, lengths = (np.array(c) for c in zip(*places))
     i, j = (np.array(c)[:, None] for c in zip(*_upper_pairs(size)))  # (E, 1) each
-    ends = starts + lengths + 1
-    corner = (i == starts + 1) & (j == ends)  # (E, J)
-    outside = ~((starts < i) & (j <= ends) & ~corner)[:, None]
+    corner = (i == 1) & (j == lengths + 1)  # (E, J)
+    outside = ((j > lengths + 1) | corner)[:, None]
     corners, columns = corner.argmax(axis=0), np.arange(len(places))
     shifts = p ** (n - lengths.astype(object))
     shifts = shifts.astype(np.int64 if p * shifts.max() < 2**63 else object)
@@ -363,9 +358,9 @@ def iota_reader(n: int, p: int, size: int, places: Sequence[tuple[int, int, int]
             return c // shifts, None
         g, col = bad[0]
         if noncentral[g, col]:
-            t, d = np.flatnonzero(blocks[:, g, col])[0], starts[col]
+            t = np.flatnonzero(blocks[:, g, col])[0]
             reason = ("matrix is not in the central subgroup: "
-                      f"entry ({i[t, 0] - d},{j[t, 0] - d}) = {blocks[t, g, col]}")
+                      f"entry ({i[t, 0]},{j[t, 0]}) = {blocks[t, g, col]}")
         else:
             reason = f"corner entry {c[g, col]} is not divisible by p^(n-s) = {shifts[col]}"
         return c // shifts, (g, col, reason)
@@ -378,7 +373,7 @@ def letter_rows(words: Sequence[Word], letter: int, size: int, modulus: int) -> 
 
     Matrix k is I + sum over the positions i with w_i = x of E_{i,i+1}.
     Words may have any length up to size - 1: a shorter word's
-    superdiagonal is zero past its end, so its matrix is its own
+    superdiagonal is zero past its end, so its matrix is its own top-left
     (|w|+1)-block, as ``iota_reader`` reads it, followed by the identity.
     """
     index = np.full((size - 1, len(words)), -1)

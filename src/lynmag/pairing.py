@@ -24,11 +24,11 @@ group word and neither reads ``magnus`` or ``rho``:
   ``matgrp`` (``tau_power_rows``), keeping only the image of each
   factor: all words w of one length form one stack, so a whole level of
   the recursion costs three products and one inverse.  The covers are
-  the w' that are no proper infix of another (``_infix_cover``), padded
-  into one batch.  The diagonal block of rho_c(g) on rows i+1..i+s+1 is
-  rho of the infix c[i : i+s]; one pass per batch (``iota_reader``)
-  reads each w' off its own block of a cover mod p^(n-s'+1), and the
-  power must land in the central subgroup.
+  the w' that are no proper prefix of another (``_prefix_cover``), padded
+  into one batch.  The top-left (s+1)-block of rho_c(g) is rho of the
+  prefix c[:s]; one pass per batch (``iota_reader``) reads each w' off
+  the top-left block of its cover mod p^(n-s'+1), and the power must
+  land in the central subgroup.
 
 The two routes use different formulas for the commutator, so a slip in
 the truncation of one is caught by the other.  A divisibility failure, a
@@ -135,25 +135,22 @@ def _series_rows(
     return c.astype(np.int64, copy=False)[[row[w] for w in ws]]
 
 
-def _infix_cover(words: Sequence[Word]) -> tuple[list[Word], list[tuple[int, int]]]:
-    """The words of words that are no proper infix of another, and where each word lies.
+def _prefix_cover(words: Sequence[Word]) -> tuple[list[Word], list[tuple[int, int]]]:
+    """The words of words that are no proper prefix of another, and where each word lies.
 
-    Returns (covers, places) with w' = covers[k][start : start + |w'|] for
-    (k, start) = places[j], w' = words[j], at the least start any cover
-    offers, so most words are read at start 0.  Longer words come first,
-    so a word is a cover exactly when no earlier cover holds it.
+    Returns (covers, places) with w' = covers[k][:s] for (k, s) = places[j],
+    w' = words[j].  Longer words come first, so a word is a cover exactly
+    when no earlier cover begins with it.
     """
     covers: list[Word] = []
-    place: dict[tuple[int, ...], tuple[int, int]] = {}
+    place: dict[tuple[int, ...], int] = {}
     for v in sorted(dict.fromkeys(words), key=len, reverse=True):
         u = v.indices
         if u not in place:
-            for i in range(len(u)):
-                for j in range(i + 1, len(u) + 1):
-                    if u[i:j] not in place or place[u[i:j]][1] > i:
-                        place[u[i:j]] = (len(covers), i)
+            for s in range(1, len(u) + 1):
+                place.setdefault(u[:s], len(covers))
             covers.append(v)
-    return covers, [place[v.indices] for v in words]
+    return covers, [(place[v.indices], len(v)) for v in words]
 
 
 def _matrix_rows(
@@ -161,13 +158,13 @@ def _matrix_rows(
 ) -> np.ndarray:
     """The pairing values read by ``iota`` off one batch of unipotent matrices.
 
-    The batch holds only the cover words of ``_infix_cover``; each w' reads
-    the diagonal block of its cover at its own place, which is rho of w'.
+    The batch holds only the cover words of ``_prefix_cover``; each w'
+    reads the top-left (|w'|+1)-block of its cover, which is rho of w'.
     """
-    covers, places = _infix_cover(words)
+    covers, places = _prefix_cover(words)
     # the shortest w' reads the largest modulus
     modulus = p ** (n - min(map(len, words)) + 1)
-    read = iota_reader(n, p, len(covers[0]) + 1, [(*at, len(v)) for v, at in zip(words, places)])
+    read = iota_reader(n, p, len(covers[0]) + 1, places)
     out = np.zeros((len(ws), len(words)), dtype=np.int64)
     row = {w: i for i, w in enumerate(ws)}  # one row per distinct word
     for done, batch in tau_power_rows(plan, ws, covers, n, p, modulus):

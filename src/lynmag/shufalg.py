@@ -424,7 +424,9 @@ def shuffle_span_basis(d: int, p: int, alphabet: Alphabet) -> ShuffleSpanBasis:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = len(alphabet)
-    if d > MAX_WORDS or m**d > MAX_WORDS:  # d first, so m**d stays small
+    if d > MAX_PRODUCT_LETTERS:  # first, so m**d stays small
+        raise ValueError(f"shuffle span degree {d} exceeds cap {MAX_PRODUCT_LETTERS}")
+    if m**d > MAX_WORDS:
         raise ValueError(f"word space at degree {d} over {m} letters exceeds cap {MAX_WORDS}")
     contents = dict.fromkeys(tuple(sorted(key)) for key in product(range(m), repeat=d))
     return ShuffleSpanBasis(d, p, alphabet, _span_blocks(d, p, m, contents))

@@ -309,7 +309,7 @@ class TestPairingBatches:
 
     @staticmethod
     def assert_blocks_are_rho_of_powers(done, batch, words, n, p):
-        # each infix of each w' reads its block mod p^(n-|infix|+1) off the shared batch
+        # every diagonal block of each w' is rho of its infix, mod p^(n-|infix|+1)
         size = max(map(len, words)) + 1
         assert batch.shape == (size * (size - 1) // 2, len(done), len(words))
         for w, rows in zip(done, batch.swapaxes(0, 1)):
@@ -400,11 +400,11 @@ class TestPairingBatches:
         assert calls["_mul_rows"] <= 20 and calls["_inverse_rows"] <= 4
 
     def test_iota_reader_matches_iota(self):
-        # Two covers of size 5; column j reads the (s+1)-block of cover k from
-        # row start+1, at places (k, start, s).  Every entry of a good matrix
-        # is a multiple of the block moduli it must vanish under, so each
-        # read has to reduce before it checks.
-        places = [(0, 0, 4), (0, 1, 2), (1, 2, 1), (1, 0, 3)]
+        # Two covers of size 5; column j reads the top-left (s+1)-block of
+        # cover k, at places (k, s).  Every entry of a good matrix is a
+        # multiple of the block moduli it must vanish under, so each read
+        # has to reduce before it checks.
+        places = [(0, 4), (0, 2), (1, 1), (1, 3)]
         for p, n in [(3, 5), (13, 9)]:
             def shift(s):
                 return p ** (n - s)
@@ -412,26 +412,26 @@ class TestPairingBatches:
             values = [1, p - 1, 2, 0]
             good = [
                 {(1, 5): values[0] * shift(4) + 7 * shift(3), (4, 5): 3 * shift(3),
-                 (2, 4): values[1] * shift(2), (2, 3): 2 * shift(1), (3, 4): 5 * shift(1)},
+                 (1, 3): values[1] * shift(2), (2, 3): 2 * shift(1), (3, 4): 5 * shift(2)},
                 # entries (., 5) lie outside every block of cover 1
-                {(3, 4): values[2] * shift(1), (1, 4): values[3] * shift(3),
-                 (1, 2): 4 * shift(2), (1, 5): 1, (2, 5): 2, (3, 5): 3, (4, 5): 4},
+                {(1, 2): values[2] * shift(1), (1, 4): values[3] * shift(3),
+                 (2, 3): 6 * shift(1), (3, 4): 4 * shift(2), (1, 5): 1, (2, 5): 2, (3, 5): 3, (4, 5): 4},
             ]
 
             def bumped(k, pair, by):
                 covers = [dict(c) for c in good]
-                covers[k][pair] += by
+                covers[k][pair] = covers[k].get(pair, 0) + by
                 return covers
 
             # each bad row's first rejected column and iota's reason for it
             rows = [
                 (good, None),
-                (bumped(0, (3, 4), shift(2)), (1, "matrix is not in the central subgroup: "
+                (bumped(0, (2, 3), shift(2)), (1, "matrix is not in the central subgroup: "
                                                   f"entry (2,3) = {shift(2)}")),
-                (bumped(1, (3, 4), 1), (2, f"corner entry {values[2] * shift(1) + 1} "
+                (bumped(1, (1, 2), 1), (2, f"corner entry {values[2] * shift(1) + 1} "
                                            f"is not divisible by p^(n-s) = {shift(1)}")),
-                (bumped(1, (1, 2), shift(3)), (3, "matrix is not in the central subgroup: "
-                                                  f"entry (1,2) = {shift(3)}")),
+                (bumped(1, (2, 4), shift(3)), (3, "matrix is not in the central subgroup: "
+                                                  f"entry (2,4) = {shift(3)}")),
                 (bumped(0, (1, 5), 1), (0, f"corner entry {values[0] * shift(4) + 1} "
                                            f"is not divisible by p^(n-s) = {shift(4)}")),
             ]
@@ -445,12 +445,12 @@ class TestPairingBatches:
             for g, (covers, want) in enumerate(rows):
                 got, reject = read(batch[:, g : g + 1])
                 assert reject == (None if want is None else (0, *want))
-                for j, (k, start, s) in enumerate(places):
+                for k, s in places:
                     # scalar iota on the dense slice agrees with a read of this one place
                     column = batch[:, g : g + 1, k]
-                    got, reject = iota_reader(n, p, 5, [(0, start, s)])(column[:, :, None])
+                    got, reject = iota_reader(n, p, 5, [(0, s)])(column[:, :, None])
                     try:
-                        want_value = iota(n, s, block(column[:, 0], 5, start, s + 1, shift(s - 1)))
+                        want_value = iota(n, s, block(column[:, 0], 5, 0, s + 1, shift(s - 1)))
                     except ValueError as exc:
                         assert reject == (0, 0, str(exc))
                     else:
@@ -462,6 +462,11 @@ class TestGenerateGroup:
         table = generate_group([E(2, 4, 1, 2)])
         assert len(table) == 4
         assert {m.data for m in table} == {(0,), (1,), (2,), (3,)}
+
+    def test_membership(self):
+        table = generate_group([E(3, 4, 1, 2, 2)])
+        assert E(3, 4, 1, 2, 2) in table and UnipotentMatrix.identity(3, 4) in table
+        assert E(3, 4, 1, 2) not in table and E(3, 4, 1, 2, 2) not in FiniteGroupTable([])
 
     def test_heisenberg_mod2(self):
         table = generate_group([E(3, 2, 1, 2), E(3, 2, 2, 3)])

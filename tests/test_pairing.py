@@ -340,7 +340,11 @@ class TestRowsAgainstReference:
 
 
 class TestInfixColumns:
-    """The matrix route reads each w' off a diagonal block of a cover word."""
+    """Words that lie inside other words of the request.
+
+    The matrix route reads each w' off the top-left block of a cover word
+    it begins; a word inside another that begins none is its own cover.
+    """
 
     @staticmethod
     def per_pair(ws, words, n, p):
@@ -348,31 +352,37 @@ class TestInfixColumns:
 
     @pytest.mark.parametrize("n, p", [(3, 2), (4, 3), (5, 5)])
     def test_infix_that_is_no_prefix(self, n, p):
-        # y and yy lie inside xyy at offset 1, and in no word at offset 0
+        # y and yy lie inside xyy but begin no longer word: each is a cover
         words = [XY.word(t) for t in ("y", "xyy", "yy")]
-        covers, places = PAIRING._infix_cover(words)
-        assert covers == [XY.word("xyy")]
-        assert places == [(0, 1), (0, 0), (0, 1)]
+        covers, places = PAIRING._prefix_cover(words)
+        assert covers == [XY.word("xyy"), XY.word("yy")]
+        assert places == [(1, 1), (0, 3), (1, 2)]
         ws = lyndon_words(XY, 3)
         assert np.array_equal(pairing_rows(ws, words, n, p), self.per_pair(ws, words, n, p))
 
     @pytest.mark.parametrize("n, p", [(3, 2), (4, 3)])
     def test_repeated_columns(self, n, p):
         words = [XY.word(t) for t in ("xy", "y", "xy", "x", "y", "xxy", "x")]
-        covers, _ = PAIRING._infix_cover(words)
-        assert covers == [XY.word("xxy")]
+        covers, places = PAIRING._prefix_cover(words)
+        assert covers == [XY.word(t) for t in ("xxy", "xy", "y")]
+        assert places == [(1, 2), (2, 1), (1, 2), (0, 1), (2, 1), (0, 3), (0, 1)]
         ws = lyndon_words(XY, 3)
         assert np.array_equal(pairing_rows(ws, words, n, p), self.per_pair(ws, words, n, p))
 
     @pytest.mark.parametrize("n, p", [(3, 3), (4, 2)])
     def test_columns_of_one_length(self, n, p):
-        # no word of one length is a proper infix of another: each covers itself
+        # no word of one length is a proper prefix of another: each covers itself
         words = list(all_words(XY, 3))
-        covers, places = PAIRING._infix_cover(words)
-        assert sorted(map(str, covers)) == sorted(map(str, words))
-        assert all(start == 0 for _, start in places)
+        covers, places = PAIRING._prefix_cover(words)
+        assert covers == words
+        assert places == [(k, 3) for k in range(len(words))]
         ws = lyndon_words(XY, 3)
         assert np.array_equal(pairing_rows(ws, words, n, p), self.per_pair(ws, words, n, p))
+
+    def test_cover_count_at_the_ceiling(self):
+        # the batch of pairing-matrix --alphabet xyzt --n 6
+        covers, _ = PAIRING._prefix_cover(lyndon_words(Alphabet("xyzt"), 6))
+        assert len(covers) == 671
 
 
 class TestSeriesWalk:
@@ -459,10 +469,10 @@ class TestFaultInjection:
         ):
             pairing(XY.word("xy"), XY.word("xy"), 2, 3)
 
-    def test_entry_read_only_through_an_infix_block(self, monkeypatch):
-        # Entry (2, 3) of the xyy batch is entry (1, 2) of the yy block at
-        # offset 1.  Adding 3 leaves it 0 mod 3, where the cover xyy reads
-        # it, and makes it 3 mod 9, where yy reads it.
+    def test_entry_read_only_through_a_prefix_block(self, monkeypatch):
+        # Entry (2, 3) of the xyy batch lies in the top-left blocks of both
+        # xyy and its prefix xy.  Adding 3 leaves it 0 mod 3, where xyy
+        # reads it, and makes it 3 mod 9, where xy reads it.
         real = PAIRING.tau_power_rows
 
         def skewed(*args):
@@ -472,14 +482,14 @@ class TestFaultInjection:
                 yield positions, batch
 
         monkeypatch.setattr(PAIRING, "tau_power_rows", skewed)
-        w, cover, infix = (XY.word(t) for t in ("xyy", "xyy", "yy"))
+        w, cover, prefix = (XY.word(t) for t in ("xyy", "xyy", "xy"))
         assert pairing_rows([w], [cover], 3, 3).tolist() == [[1]]
         with pytest.raises(
             ConsistencyError,
-            match=r"matrix route failed for <xyy, yy>_3: "
-            r"matrix is not in the central subgroup: entry \(1,2\) = 3",
+            match=r"matrix route failed for <xyy, xy>_3: "
+            r"matrix is not in the central subgroup: entry \(2,3\) = 3",
         ):
-            pairing_rows([w], [cover, infix], 3, 3)
+            pairing_rows([w], [cover, prefix], 3, 3)
 
 
 def test_routes_never_call_magnus_or_rho(monkeypatch):

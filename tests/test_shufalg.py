@@ -462,11 +462,16 @@ class TestSpanBasis:
         with pytest.raises(ValueError, match="exceeds cap 10"):
             shuffle_span_basis(3, 5, XYZ)
         monkeypatch.undo()
-        # The degree is compared with the cap before m**d is formed, and a
-        # one-letter word space (m**d = 1) is bounded by the degree alone.
-        for d, alphabet in ((10**9, XYZ), (4097, Alphabet(("x",)))):
-            with pytest.raises(ValueError, match=f"degree {d} "):
+        # Every pair of the span goes through _product_keys, so the degree
+        # shares its cap; it is compared before m**d is formed, and bounds
+        # a one-letter word space (m**d = 1) alone.  The cache is cleared so
+        # the product cap is checked at the cap.
+        x, cap = Alphabet(("x",)), shufalg.MAX_PRODUCT_LETTERS
+        for d, alphabet in ((10**9, XYZ), (4097, x), (cap + 1, x)):
+            with pytest.raises(ValueError, match=f"^shuffle span degree {d} exceeds cap {cap}$"):
                 shuffle_span_basis(d, 5, alphabet)
+        shufalg._product_keys.cache_clear()
+        assert shuffle_span_basis(cap, 2, x).to_json()["quotient_dim"] == 1
 
     def test_json_report(self):
         basis = shuffle_span_basis(2, 5, XY)

@@ -16,13 +16,17 @@ needs the image of tau(w) never builds the group word:
 ``matgrp.tau_power_rows`` on stacks of matrices and ``pairing._tau_parts``
 on the augmentation parts of Magnus series.
 ``power`` raises an element of any target group by binary powering.
+
+The ``GroupWord`` constructor reduces and checks its syllables; there is no
+unchecked builder.  ``parse_group_word`` reduces plain syllable lists and
+checks once, building one ``GroupWord`` at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .words import Alphabet, Word, _standard_cut, is_lyndon, lyndon_words, standard_factorization
 
@@ -92,9 +96,7 @@ class GroupWord:
         return GroupWord(self.alphabet, self.syllables + other.syllables)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(
-            self.alphabet, tuple((l, -e) for l, e in reversed(self.syllables))
-        )
+        return GroupWord(self.alphabet, tuple(_inverse(self.syllables)))
 
     def __invert__(self) -> "GroupWord":
         return self.inverse()
@@ -111,6 +113,10 @@ class GroupWord:
 
     def __repr__(self) -> str:
         return f"GroupWord({format_group_word(self)!r})"
+
+
+def _inverse(syllables: Sequence[Syllable]) -> list[Syllable]:
+    return [(l, -e) for l, e in reversed(syllables)]
 
 
 def power(a: T, k: int, mul: Callable[[T, T], T], one: T) -> T:
@@ -243,18 +249,16 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
                 f"group word {shown} expands to more than {MAX_SYLLABLES} syllables"
             )
 
-    if tokens == ["1"]:
-        return GroupWord.identity(alphabet)
     pos = 0
 
-    def parse_sequence(stop: set[str]) -> GroupWord:
+    def parse_sequence(stop: set[str]) -> list[Syllable]:
         nonlocal pos
         syllables: list[Syllable] = []
         while pos < len(tokens) and tokens[pos] not in stop:
-            capped(len(_push(syllables, parse_factor().syllables)))
-        return GroupWord(alphabet, tuple(syllables))
+            capped(len(_push(syllables, parse_factor())))
+        return syllables
 
-    def parse_factor() -> GroupWord:
+    def parse_factor() -> list[Syllable]:
         nonlocal pos
         token = tokens[pos]
         if token == "[":
@@ -267,20 +271,20 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
             if pos >= len(tokens) or tokens[pos] != "]":
                 raise ValueError("unclosed commutator bracket")
             pos += 1
-            base = commutator(left, right)
+            base = _push(_push(_push(_inverse(left), _inverse(right)), left), right)
             k = _trailing_exponent()
             if abs(k) > 1:
                 # Each further copy of base reduces against its neighbour
                 # as the second does: |base^k| = |b| + (|k|-1)(|b^2| - |b|).
-                one = len(base.syllables)
-                capped(one + (abs(k) - 1) * (len((base * base).syllables) - one))
-            return base ** k
+                one = len(base)
+                capped(one + (abs(k) - 1) * (len(_push(base[:], base)) - one))
+            return power(base if k >= 0 else _inverse(base), abs(k), lambda a, b: _push(a[:], b), [])
         if token in {"]", ","}:
             raise ValueError(f"unexpected {token!r}")
         pos += 1
         name, caret, exp_text = token.partition("^")
         if name == "1" and not caret:
-            return GroupWord.identity(alphabet)
+            return []
         if name not in alphabet:
             raise ValueError(f"unknown letter {name!r}")
         exp = 1
@@ -289,7 +293,7 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
                 exp = int(exp_text)
             except ValueError:
                 raise ValueError(f"bad exponent in {token!r}") from None
-        return GroupWord.generator(alphabet, name, exp)
+        return [(alphabet.index(name), exp)]
 
     def _trailing_exponent() -> int:
         nonlocal pos
@@ -305,4 +309,4 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
     result = parse_sequence(set())
     if pos != len(tokens):
         raise ValueError("trailing tokens in group word")
-    return result
+    return GroupWord(alphabet, tuple(result))

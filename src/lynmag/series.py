@@ -15,6 +15,10 @@ and ``homomorphism-properties`` checks its entries against these
 coefficients.  The coefficient functionals ``eps`` detect membership in
 the lower central and lower p-central series (``lower_central_test``,
 ``koch_test``).
+
+Arguments are checked once, at the boundary: by the ``TruncatedSeries``
+constructor (modulus, degree, letter keys) and by ``magnus`` (modulus, degree).
+``TruncatedSeries._from_codes``, which builds every internal series, checks nothing.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ def is_prime(n: int) -> bool:
 def prime_power(m: int) -> tuple[int, int]:
     """Write m = p^k with p prime and k >= 1, or raise ValueError.
 
-    Memoized: constructors check their modulus on every product, and a
-    run uses few distinct moduli.
+    Memoized: every checked series and Magnus image checks its modulus,
+    and a run uses few distinct moduli.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -64,6 +68,13 @@ def prime_power(m: int) -> tuple[int, int]:
     if rest != 1:
         raise ValueError(f"{m} is not a prime power")
     return p, k
+
+
+def _check_truncation(modulus: Optional[int], degree: Optional[int]) -> None:
+    if modulus is not None:
+        prime_power(modulus)
+    if degree is not None and degree < 0:
+        raise ValueError("truncation degree must be nonnegative")
 
 
 def balanced(c: int, m: int) -> int:
@@ -93,10 +104,7 @@ class TruncatedSeries:
         degree: Optional[int],
         coeffs: Optional[Mapping[WordKey, int]] = None,
     ):
-        if modulus is not None:
-            prime_power(modulus)
-        if degree is not None and degree < 0:
-            raise ValueError("truncation degree must be nonnegative")
+        _check_truncation(modulus, degree)
         cap = math.inf if degree is None else degree
         m = len(alphabet)
         coeffs = coeffs or {}
@@ -104,10 +112,14 @@ class TruncatedSeries:
         if not all(0 <= a < m for key in coeffs for a in key):
             raise ValueError("letter index out of range")
         codes = {_word_code(key, m): c for key, c in coeffs.items() if len(key) <= cap}
+        self._set(alphabet, modulus, degree, _reduced(codes, modulus))
+
+    def _set(self, alphabet, modulus, degree, codes) -> "TruncatedSeries":
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "codes", _reduced(codes, modulus))
+        object.__setattr__(self, "codes", codes)
+        return self
 
     @classmethod
     def _from_codes(
@@ -117,10 +129,8 @@ class TruncatedSeries:
         degree: Optional[int],
         codes: dict[int, int],
     ) -> "TruncatedSeries":
-        # A series from a clean code map: no zeros, no word past the degree.
-        f = cls(alphabet, modulus, degree)
-        object.__setattr__(f, "codes", codes)
-        return f
+        # Unchecked: a valid modulus and degree, and no zero or word past the degree.
+        return object.__new__(cls)._set(alphabet, modulus, degree, codes)
 
     def _with(self, codes: dict[int, int]) -> "TruncatedSeries":
         return TruncatedSeries._from_codes(self.alphabet, self.modulus, self.degree, codes)
@@ -376,7 +386,7 @@ def magnus(
     would form more than ``limit`` terms raises ValueError before it is
     formed.  Results are immutable and cached.
     """
-    TruncatedSeries.one(g.alphabet, modulus, degree)  # checks the arguments
+    _check_truncation(modulus, degree)
     m = len(g.alphabet)
     levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(degree)]
     # (j, m^j, code(x^j), C(e, j) reduced) for the nonzero terms, by j

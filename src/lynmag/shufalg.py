@@ -101,12 +101,6 @@ def infiltration(u: Word, v: Word) -> TruncatedSeries:
     return TruncatedSeries._from_codes(u.alphabet, None, None, q)
 
 
-def _pair(f: dict[int, int], keys: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
-    # inner_product on word codes, for a cached product whose words all
-    # lie within the truncation degree of f.
-    return sum(map(mul, map(f.get, keys, repeat(0)), coeffs))
-
-
 def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     """Coefficient identity eps_u(s)·eps_v(s) = (magnus(s), u infiltration v).
 
@@ -115,9 +109,10 @@ def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     """
     _check_factors(u, v, sigma)
     s, cu, cv, keys, coeffs = _terms(u.indices, v.indices, True, len(u.alphabet.letters))
-    f = magnus(sigma, modulus, s).codes
-    lhs = f.get(cu, 0) * f.get(cv, 0)
-    rhs = _pair(f, keys, coeffs)
+    # Every word of the cached product lies within the truncation degree.
+    f = magnus(sigma, modulus, s).codes.get
+    lhs = f(cu, 0) * f(cv, 0)
+    rhs = sum(map(mul, map(f, keys, repeat(0)), coeffs))
     if modulus is None:
         return lhs == rhs
     return (lhs - rhs) % modulus == 0
@@ -141,8 +136,8 @@ def shuffle_congruence_check(
     if s > n:
         raise ValueError(f"|u| + |v| = {s} exceeds n = {n}")
     _, _, _, keys, coeffs = _terms(u.indices, v.indices, False, len(u.alphabet.letters))
-    f = magnus(sigma, p ** (n + 2), s).codes
-    return _pair(f, keys, coeffs) % p ** (n - s + 1) == 0
+    f = magnus(sigma, p ** (n + 2), s).codes.get
+    return sum(map(mul, map(f, keys, repeat(0)), coeffs)) % p ** (n - s + 1) == 0
 
 
 def palindrome_identity(w: Word) -> tuple[TruncatedSeries, TruncatedSeries]:

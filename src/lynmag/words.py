@@ -6,6 +6,10 @@ of; otherwise the first differing letter decides.  It is exactly tuple
 comparison of letter indices, so words compare through ``Word.indices``.
 The ``preceq`` order sorts by length first and alphabetically within a
 length; ``preceq_key`` is its sort key.
+
+``Word(alphabet, indices)`` checks every index, and ``Alphabet.word`` each
+letter as it looks it up.  ``Word._trusted`` checks nothing: it takes indices
+just looked up or cut from checked words.
 """
 
 from __future__ import annotations
@@ -74,13 +78,8 @@ class Alphabet:
         with any multi-character letter join tokens with a middle dot.
         The empty string is the empty word.
         """
-        if not text:
-            return Word(self, ())
-        if not self._sep and "·" not in text:
-            tokens = list(text)
-        else:
-            tokens = text.split("·")
-        return Word(self, tuple(self.index(t) for t in tokens))
+        tokens = text.split("·") if self._sep or "·" in text else text
+        return Word._trusted(self, tuple(map(self.index, tokens)) if text else ())
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,13 @@ class Word:
         if any(not (0 <= i < m) for i in self.indices):
             raise ValueError("letter index out of range")
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, indices: tuple[int, ...]) -> "Word":
+        # Unchecked: the caller vouches that every index lies in the alphabet.
+        w = object.__new__(cls)
+        w.__dict__.update(alphabet=alphabet, indices=indices)
+        return w
+
     def __hash__(self) -> int:
         # Consistent with the generated equality, without hashing the alphabet.
         return hash(self.indices)
@@ -104,13 +110,13 @@ class Word:
 
     def __getitem__(self, item) -> "Word":
         if isinstance(item, slice):
-            return Word(self.alphabet, self.indices[item])
-        return Word(self.alphabet, (self.indices[item],))
+            return Word._trusted(self.alphabet, self.indices[item])
+        return Word._trusted(self.alphabet, (self.indices[item],))
 
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.indices + other.indices)
+        return Word._trusted(self.alphabet, self.indices + other.indices)
 
     def __str__(self) -> str:
         return self.alphabet._spell(self.indices)
@@ -142,7 +148,7 @@ def is_lyndon(w: Word) -> bool:
 def all_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All words of exactly ``length`` letters, in alphabetical order."""
     for t in itertools.product(range(len(alphabet)), repeat=length):
-        yield Word(alphabet, t)
+        yield Word._trusted(alphabet, t)
 
 
 def _duval(num_letters: int, max_len: int) -> Iterator[tuple[int, ...]]:
@@ -164,7 +170,7 @@ def lyndon_words(alphabet: Alphabet, max_len: int) -> list[Word]:
     """All Lyndon words of length <= max_len, sorted in preceq order."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    found = [Word(alphabet, t) for t in _duval(len(alphabet), max_len)]
+    found = [Word._trusted(alphabet, t) for t in _duval(len(alphabet), max_len)]
     found.sort(key=preceq_key)
     return found
 
@@ -223,7 +229,7 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
         raise ValueError("need length >= 2 to factor")
     u = w.indices
     cut = _standard_cut(u)
-    return Word(w.alphabet, u[:cut]), Word(w.alphabet, u[cut:])
+    return Word._trusted(w.alphabet, u[:cut]), Word._trusted(w.alphabet, u[cut:])
 
 
 def _lyndon_factors(u: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -5,6 +5,7 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lynmag.freegrp as freegrp
 from lynmag.freegrp import (
@@ -442,3 +443,57 @@ class TestParseSequence:
         for depth in (MAX_NESTING, MAX_NESTING + 1):
             text = "[" * depth + "x,y]" + ",x]" * (depth - 1)
             assert self.outcome(parse_group_word, text) == self.outcome(parse_reference, text)
+
+
+EXPONENTS = st.one_of(st.none(), st.integers(-3, 3))
+
+
+def sequences(depth: int):
+    """Factor lists: (letter or "1", exponent) leaves, (left, right, exponent) brackets."""
+    atom = st.one_of(st.just(("1", None)), st.tuples(st.sampled_from("xyz"), EXPONENTS))
+    if depth == 0:
+        return st.lists(atom, max_size=3)
+    bracket = st.tuples(sequences(depth - 1), sequences(depth - 1), EXPONENTS)
+    return st.lists(st.one_of(atom, bracket), max_size=3)
+
+
+def rendered(sequence) -> tuple[str, GroupWord]:
+    """The text of a factor list and its word, built from GroupWord operators."""
+    texts, word = [], GroupWord.identity(XYZ)
+    for factor in sequence:
+        if len(factor) == 3:
+            (left, g), (right, h) = rendered(factor[0]), rendered(factor[1])
+            text, value = f"[{left}, {right}]", commutator(g, h)
+        elif factor[0] == "1":
+            text, value = "1", GroupWord.identity(XYZ)
+        else:
+            text, value = factor[0], GroupWord.generator(XYZ, factor[0])
+        if factor[-1] is not None:
+            text, value = f"{text}^{factor[-1]}", value ** factor[-1]
+        texts.append(text)
+        word = word * value
+    return " ".join(texts), word
+
+
+class TestParseMatchesOperators:
+    """Parsing on syllable lists gives the word the public operators build."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sequences(3))
+    def test_random_texts(self, sequence):
+        text, word = rendered(sequence)
+        parsed = parse_group_word(XYZ, text)
+        assert parsed == word and hash(parsed) == hash(word), text
+
+    def test_caps_keep_their_messages(self):
+        with pytest.raises(ValueError) as raised:
+            gw("[x,y]^-40000")
+        assert str(raised.value) == (
+            f"group word '[x,y]^-40000' expands to more than {MAX_SYLLABLES} syllables"
+        )
+        text = "[" * (MAX_NESTING + 1) + "x,y]" + ",x]" * MAX_NESTING
+        with pytest.raises(ValueError) as raised:
+            gw(text)
+        assert str(raised.value) == (
+            f"group word {text[:57] + '...'!r} nests brackets deeper than {MAX_NESTING}"
+        )

@@ -27,6 +27,11 @@ CASES = {
     "pairing-matrix-p13-n5-xy.json": [
         "pairing-matrix", "--alphabet", "xy", "--n", "5", "--p", "13", "--format", "json",
     ],
+    # Nested and powered brackets, the identity token and a zero exponent.
+    "magnus-nested-mod125-deg5.json": [
+        "magnus", "[[x,y]^-2, x y^-1]^3 1 x^0 [y,x]^2", "--deg", "5", "--mod", "125",
+        "--format", "json",
+    ],
 }
 # rho is evaluated on letter matrices, the series on letter series; both pinned.
 MAGNUS_RHO = [

@@ -32,7 +32,7 @@ from lynmag.series import (
     series_invert,
     series_pow,
 )
-from lynmag.words import Alphabet
+from lynmag.words import Alphabet, Word
 
 XY = Alphabet("xy")
 XYZ = Alphabet("xyz")
@@ -86,6 +86,48 @@ class TestModularBasics:
                 TruncatedSeries(XY, 6, 2)
             with pytest.raises(ValueError):
                 magnus(gw("x y"), 6, 2)
+
+
+class TestBoundaryChecks:
+    """Public entry points keep their messages; internal builders trust their caller."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TruncatedSeries(XY, 12, 3), "12 is not a prime power"),
+            (lambda: TruncatedSeries(XY, 9, -1), "truncation degree must be nonnegative"),
+            (lambda: TruncatedSeries(XY, 9, 3, {(0, 2): 1}), "letter index out of range"),
+            (lambda: magnus(gw("x y"), 12, 3), "12 is not a prime power"),
+            (lambda: magnus(gw("x y"), 9, -1), "truncation degree must be nonnegative"),
+            (lambda: XY.word("xq"), "letter 'q' not in alphabet"),
+            (lambda: Alphabet(["ab", "cd"]).word("ab·c"), "letter 'c' not in alphabet"),
+        ],
+    )
+    def test_public_entry_points_keep_their_messages(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+    def test_unchecked_series_equals_the_checked_one(self):
+        checked = ts(XY, 27, 3, {"": 1, "x": 4, "xy": -2, "yxy": 30})
+        trusted = TruncatedSeries._from_codes(XY, 27, 3, dict(checked.codes))
+        assert trusted == checked and checked == trusted
+        assert (trusted.coeffs, trusted.terms(), str(trusted)) == (
+            checked.coeffs, checked.terms(), str(checked),
+        )
+        assert trusted * checked == checked * checked
+        with pytest.raises(AttributeError, match="immutable"):
+            trusted.degree = 4
+
+    def test_unchecked_word_equals_the_checked_one(self):
+        for text in ("", "x", "yxy"):
+            checked = Word(XY, tuple(XY.index(l) for l in text))
+            trusted = Word._trusted(XY, checked.indices)
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert XY.word(text) == checked and hash(XY.word(text)) == hash(checked)
+            assert len({trusted, checked}) == 1
+        ab = Alphabet(["ab", "c"])
+        assert ab.word("ab·c") == Word(ab, (0, 1)) and str(ab.word("c·ab")) == "c·ab"
 
 
 class TestSeriesArithmetic:

@@ -17,9 +17,8 @@ needs the image of tau(w) never builds the group word:
 on the augmentation parts of Magnus series.
 ``power`` raises an element of any target group by binary powering.
 
-The ``GroupWord`` constructor reduces and checks its syllables; there is no
-unchecked builder.  ``parse_group_word`` reduces plain syllable lists and
-checks once, building one ``GroupWord`` at the end.
+``GroupWord`` always checks its syllables.  Its operators and the parser share
+``_power`` (any exponent, so inverses too) and ``_commutator`` on syllable lists.
 """
 
 from __future__ import annotations
@@ -51,6 +50,17 @@ def _push(out: list[Syllable], syllables: Iterable[Syllable]) -> list[Syllable]:
         else:
             out.append((letter, exp))
     return out
+
+
+def _commutator(a: Sequence[Syllable], b: Sequence[Syllable]) -> list[Syllable]:
+    """[a, b] = a^-1 b^-1 a b on reduced syllable lists."""
+    return _push(_push(_push(_power(a, -1), _power(b, -1)), a), b)
+
+
+def _power(syllables: Sequence[Syllable], k: int) -> list[Syllable]:
+    """s^k on a reduced syllable list, for any integer k."""
+    base = syllables if k >= 0 else [(l, -e) for l, e in reversed(syllables)]
+    return power(base, abs(k), lambda a, b: _push(list(a), b), [])
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +106,13 @@ class GroupWord:
         return GroupWord(self.alphabet, self.syllables + other.syllables)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(self.alphabet, tuple(_inverse(self.syllables)))
+        return GroupWord(self.alphabet, tuple(_power(self.syllables, -1)))
 
     def __invert__(self) -> "GroupWord":
         return self.inverse()
 
     def __pow__(self, k: int) -> "GroupWord":
-        base = self if k >= 0 else self.inverse()
-        return power(base, abs(k), GroupWord.__mul__, GroupWord.identity(self.alphabet))
+        return GroupWord(self.alphabet, tuple(_power(self.syllables, k)))
 
     def is_identity(self) -> bool:
         return not self.syllables
@@ -113,10 +122,6 @@ class GroupWord:
 
     def __repr__(self) -> str:
         return f"GroupWord({format_group_word(self)!r})"
-
-
-def _inverse(syllables: Sequence[Syllable]) -> list[Syllable]:
-    return [(l, -e) for l, e in reversed(syllables)]
 
 
 def power(a: T, k: int, mul: Callable[[T, T], T], one: T) -> T:
@@ -135,7 +140,9 @@ def power(a: T, k: int, mul: Callable[[T, T], T], one: T) -> T:
 
 def commutator(g: GroupWord, h: GroupWord) -> GroupWord:
     """[g, h] = g^-1 h^-1 g h."""
-    return g.inverse() * h.inverse() * g * h
+    if g.alphabet != h.alphabet:
+        raise ValueError("cannot multiply words over different alphabets")
+    return GroupWord(g.alphabet, tuple(_commutator(g.syllables, h.syllables)))
 
 
 class TauStep(NamedTuple):
@@ -271,14 +278,14 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
             if pos >= len(tokens) or tokens[pos] != "]":
                 raise ValueError("unclosed commutator bracket")
             pos += 1
-            base = _push(_push(_push(_inverse(left), _inverse(right)), left), right)
+            base = _commutator(left, right)
             k = _trailing_exponent()
             if abs(k) > 1:
                 # Each further copy of base reduces against its neighbour
                 # as the second does: |base^k| = |b| + (|k|-1)(|b^2| - |b|).
                 one = len(base)
-                capped(one + (abs(k) - 1) * (len(_push(base[:], base)) - one))
-            return power(base if k >= 0 else _inverse(base), abs(k), lambda a, b: _push(a[:], b), [])
+                capped(one + (abs(k) - 1) * (len(_power(base, 2)) - one))
+            return _power(base, k)
         if token in {"]", ","}:
             raise ValueError(f"unexpected {token!r}")
         pos += 1

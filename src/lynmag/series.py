@@ -16,8 +16,7 @@ coefficients.  The coefficient functionals ``eps`` detect membership in
 the lower central and lower p-central series (``lower_central_test``,
 ``koch_test``).
 
-Arguments are checked once, at the boundary: by the ``TruncatedSeries``
-constructor (modulus, degree, letter keys) and by ``magnus`` (modulus, degree).
+The ``TruncatedSeries`` constructor and ``magnus`` check their arguments;
 ``TruncatedSeries._from_codes``, which builds every internal series, checks nothing.
 """
 

@@ -109,8 +109,7 @@ def cfl_check(u: Word, v: Word, sigma: GroupWord, modulus: int | None) -> bool:
     """
     _check_factors(u, v, sigma)
     s, cu, cv, keys, coeffs = _terms(u.indices, v.indices, True, len(u.alphabet.letters))
-    # Every word of the cached product lies within the truncation degree.
-    f = magnus(sigma, modulus, s).codes.get
+    f = magnus(sigma, modulus, s).codes.get  # every product word has degree <= s
     lhs = f(cu, 0) * f(cv, 0)
     rhs = sum(map(mul, map(f, keys, repeat(0)), coeffs))
     if modulus is None:
@@ -136,7 +135,7 @@ def shuffle_congruence_check(
     if s > n:
         raise ValueError(f"|u| + |v| = {s} exceeds n = {n}")
     _, _, _, keys, coeffs = _terms(u.indices, v.indices, False, len(u.alphabet.letters))
-    f = magnus(sigma, p ** (n + 2), s).codes.get
+    f = magnus(sigma, p ** (n + 2), s).codes.get  # every product word has degree <= s
     return sum(map(mul, map(f, keys, repeat(0)), coeffs)) % p ** (n - s + 1) == 0
 
 

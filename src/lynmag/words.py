@@ -7,9 +7,8 @@ comparison of letter indices, so words compare through ``Word.indices``.
 The ``preceq`` order sorts by length first and alphabetically within a
 length; ``preceq_key`` is its sort key.
 
-``Word(alphabet, indices)`` checks every index, and ``Alphabet.word`` each
-letter as it looks it up.  ``Word._trusted`` checks nothing: it takes indices
-just looked up or cut from checked words.
+``Word(alphabet, indices)`` checks every index; ``Word._trusted`` checks nothing
+and builds only the words of ``Alphabet.word`` and ``lyndon_words``.
 """
 
 from __future__ import annotations
@@ -110,13 +109,13 @@ class Word:
 
     def __getitem__(self, item) -> "Word":
         if isinstance(item, slice):
-            return Word._trusted(self.alphabet, self.indices[item])
-        return Word._trusted(self.alphabet, (self.indices[item],))
+            return Word(self.alphabet, self.indices[item])
+        return Word(self.alphabet, (self.indices[item],))
 
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word._trusted(self.alphabet, self.indices + other.indices)
+        return Word(self.alphabet, self.indices + other.indices)
 
     def __str__(self) -> str:
         return self.alphabet._spell(self.indices)
@@ -148,7 +147,7 @@ def is_lyndon(w: Word) -> bool:
 def all_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All words of exactly ``length`` letters, in alphabetical order."""
     for t in itertools.product(range(len(alphabet)), repeat=length):
-        yield Word._trusted(alphabet, t)
+        yield Word(alphabet, t)
 
 
 def _duval(num_letters: int, max_len: int) -> Iterator[tuple[int, ...]]:
@@ -229,7 +228,7 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
         raise ValueError("need length >= 2 to factor")
     u = w.indices
     cut = _standard_cut(u)
-    return Word._trusted(w.alphabet, u[:cut]), Word._trusted(w.alphabet, u[cut:])
+    return Word(w.alphabet, u[:cut]), Word(w.alphabet, u[cut:])
 
 
 def _lyndon_factors(u: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -457,33 +457,55 @@ def sequences(depth: int):
     return st.lists(st.one_of(atom, bracket), max_size=3)
 
 
-def rendered(sequence) -> tuple[str, GroupWord]:
-    """The text of a factor list and its word, built from GroupWord operators."""
-    texts, word = [], GroupWord.identity(XYZ)
+def naive_inverse(g: GroupWord) -> GroupWord:
+    return GroupWord(g.alphabet, tuple((l, -e) for l, e in reversed(g.syllables)))
+
+
+def naive_power(g: GroupWord, k: int) -> GroupWord:
+    """g^k as |k| copies of g or of its inverse, multiplied one at a time."""
+    base, out = g if k >= 0 else naive_inverse(g), GroupWord.identity(g.alphabet)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def rendered(sequence) -> tuple[str, GroupWord, GroupWord]:
+    """The text of a factor list and its word, built twice: once from the
+    GroupWord operators, once from products alone (no commutator, no **)."""
+    texts, word, naive = [], GroupWord.identity(XYZ), GroupWord.identity(XYZ)
     for factor in sequence:
         if len(factor) == 3:
-            (left, g), (right, h) = rendered(factor[0]), rendered(factor[1])
+            (left, g, g0), (right, h, h0) = rendered(factor[0]), rendered(factor[1])
             text, value = f"[{left}, {right}]", commutator(g, h)
+            value0 = naive_inverse(g0) * naive_inverse(h0) * g0 * h0
         elif factor[0] == "1":
             text, value = "1", GroupWord.identity(XYZ)
+            value0 = value
         else:
             text, value = factor[0], GroupWord.generator(XYZ, factor[0])
+            value0 = GroupWord(XYZ, ((XYZ.index(factor[0]), 1),))
         if factor[-1] is not None:
             text, value = f"{text}^{factor[-1]}", value ** factor[-1]
+            value0 = naive_power(value0, factor[-1])
         texts.append(text)
-        word = word * value
-    return " ".join(texts), word
+        word, naive = word * value, naive * value0
+    return " ".join(texts), word, naive
 
 
 class TestParseMatchesOperators:
-    """Parsing on syllable lists gives the word the public operators build."""
+    """Parsing on syllable lists gives the word the public operators build.
+
+    The parser, ``commutator`` and ``**`` share the syllable-list helpers,
+    so each is also checked against products of generators and inverses.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(sequences(3))
     def test_random_texts(self, sequence):
-        text, word = rendered(sequence)
+        text, word, naive = rendered(sequence)
         parsed = parse_group_word(XYZ, text)
-        assert parsed == word and hash(parsed) == hash(word), text
+        assert parsed == word == naive, text
+        assert hash(parsed) == hash(word) == hash(naive), text
 
     def test_caps_keep_their_messages(self):
         with pytest.raises(ValueError) as raised:

@@ -16,10 +16,11 @@ order.  So each pattern is row-reduced once, on letters 0..k-1, and its
 rows are shared by all of its blocks; no matrix as wide as the whole
 word space is ever built.  Where p divides no i1, the multiplicity of
 the first Lyndon factor of a word, the reduction takes one seed row per
-non-Lyndon word instead of every pair (``_reduce_pattern``).  For p > 3 and d <= 3 the Lyndon words of
-length d descend to a basis of the quotient, so every word has a
-canonical expression as a combination of Lyndon words modulo shuffles;
-:func:`reduce_mod_shuffles` computes it from the block of the word alone.
+non-Lyndon word instead of every pair (``_reduce_pattern``).  Pivots
+sit at the largest words, where the seed rows lead, so when p divides
+no i1 (always, for p > d) the free columns of a block are its Lyndon
+words, and reducing a word gives its Lyndon coordinates;
+:func:`reduce_mod_shuffles` reads them off the block of the word alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .freegrp import GroupWord
-from .linalg import inverse_mod_p, rref_mod_p
+from .linalg import rref_mod_p
 from .series import TruncatedSeries, WordKey, _first_code, _word_code, is_prime, magnus
 from .words import Alphabet, Word, _lyndon_factors, lyndon_words
 
@@ -186,14 +187,6 @@ class _Block(NamedTuple):
         return (x - x[..., list(self.pivots)] @ self.rows) % p
 
 
-def _index(key: WordKey, m: int) -> int:
-    # Place of a word among all words of its length in lex order.
-    i = 0
-    for a in key:
-        i = i * m + a
-    return i
-
-
 def _seeds(columns: list[WordKey]) -> list[tuple[WordKey, WordKey, int]]:
     # (l1, l2...lk, i1) for each non-Lyndon word w = l1 l2 ... lk, its
     # Lyndon factors nonincreasing and l1 repeated i1 times at the front.
@@ -213,7 +206,8 @@ def _reduce_pattern(
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     # The block of words over 0..k-1 with these letter counts: its words
     # as a (columns, d) array in lex order, then the RREF of all its
-    # shuffles.  groups[n] holds the words of length n grouped by counts.
+    # shuffles with pivots at the largest words, rows by ascending pivot.
+    # groups[n] holds the words of length n grouped by counts.
     #
     # Over Q the shuffle span of a block has rank (block size - its Lyndon
     # words), one seed row per non-Lyndon word, and the rank mod p of
@@ -246,13 +240,14 @@ def _reduce_pattern(
         [i for i, q in enumerate(shuffles) for _ in q],
         [local[c] for q in shuffles for c in q],
     ] = [c % p for q in shuffles for c in q.values()]
-    rows, pivots = rref_mod_p(block, p)
+    rows, pivots = rref_mod_p(block[:, ::-1], p)
     if seeded and len(pivots) < len(seeds):
         raise ConsistencyError(
             f"the {len(seeds)} Lyndon seed rows of multiplicity pattern {pattern} "
             f"have rank {len(pivots)} mod {p}"
         )
-    return words, rows, pivots
+    last = len(columns) - 1
+    return words, rows[::-1, ::-1], tuple(last - c for c in reversed(pivots))
 
 
 def _span_blocks(d: int, p: int, m: int, contents: Iterable[WordKey]) -> dict[WordKey, _Block]:
@@ -292,32 +287,28 @@ def _lyndon_by_content(alphabet: Alphabet, d: int) -> dict[WordKey, list[Word]]:
 
 
 def _lyndon_solve(
-    block: _Block, lyn: list[Word], vectors: np.ndarray, p: int, d: int
+    block: _Block, lyn: list[Word], vectors: np.ndarray, p: int, d: int, m: int
 ) -> list[dict[Word, int]]:
-    # The free (non-pivot) coordinates of each reduced row of vectors,
-    # times the inverse of the square matrix of the block's reduced
-    # Lyndon words lyn.  The quotient is the direct sum of the blocks'
-    # quotients, so the Lyndon words of one content span its block.
-    size = len(block.cols)
-    free = np.ones(size, dtype=bool)
+    # The class of each row of vectors modulo shuffles, in the basis of
+    # the block's Lyndon words lyn: the reduced vector read at their
+    # columns, which must be the free ones.  They are whenever the seed
+    # rows lead at their largest words, as when p divides no i1.
+    first = _first_code(d, m)
+    at = np.searchsorted(block.cols, [_word_code(w.indices, m) - first for w in lyn])
+    free = np.ones(len(block.cols), dtype=bool)
     free[list(block.pivots)] = False
-    at = np.searchsorted(block.cols, [_index(w.indices, len(w.alphabet)) for w in lyn])
-    images = block.reduce(np.eye(size, dtype=np.int64)[at], p)[:, free]
-    try:
-        inverse = inverse_mod_p(images.T, p)
-    except ValueError as exc:
-        raise ConsistencyError(
-            f"Lyndon images are not a quotient basis at degree {d} mod {p}: {exc}"
-        ) from exc
-    coords = block.reduce(vectors, p)[:, free] @ inverse.T % p
+    if free.sum() != len(at) or not free[at].all():
+        raise ConsistencyError(f"Lyndon images are not a quotient basis at degree {d} mod {p}")
+    coords = block.reduce(vectors, p)[:, at]
     return [{wl: int(c) for wl, c in zip(lyn, row) if c} for row in coords]
 
 
 def _word_coordinates(block: _Block, w: Word, p: int) -> dict[Word, int]:
     # The class of w in the Lyndon basis, from the block of w's content.
-    lyn = _lyndon_by_content(w.alphabet, len(w)).get(tuple(sorted(w.indices)), [])
-    unit = (block.cols == _index(w.indices, len(w.alphabet))).astype(np.int64)
-    return _lyndon_solve(block, lyn, unit[None], p, len(w))[0]
+    d, m = len(w), len(w.alphabet)
+    lyn = _lyndon_by_content(w.alphabet, d).get(tuple(sorted(w.indices)), [])
+    unit = (block.cols == _word_code(w.indices, m) - _first_code(d, m)).astype(np.int64)
+    return _lyndon_solve(block, lyn, unit[None], p, d, m)[0]
 
 
 class ShuffleSpanBasis:
@@ -328,9 +319,11 @@ class ShuffleSpanBasis:
     span is kept block-sparse: ``blocks`` maps each letter content (the
     sorted letters of a word) to its block's word indices, and to the
     reduced rows and local pivots of its multiplicity pattern, shared
-    by every block of that pattern.  Pivots are chosen left to right
-    within a block, which is where they fall in one reduction of all
-    shuffles, so every coset of the span has a canonical representative.
+    by every block of that pattern.  Pivots are chosen right to left
+    within a block, at the largest words, which is where they fall in one
+    reduction of all shuffles with the columns reversed.  So every coset
+    has a canonical representative, supported on the free columns; where
+    those are the block's Lyndon words, it is the Lyndon coordinates.
     """
 
     __slots__ = ("degree", "p", "alphabet", "blocks")
@@ -386,12 +379,13 @@ class ShuffleSpanBasis:
     def lyndon_map(self) -> dict[Word, dict[Word, int]]:
         """Lyndon-basis coordinates for every word of this degree."""
         lyn = _lyndon_by_content(self.alphabet, self.degree)
+        m = len(self.alphabet)
         coords: dict[int, dict[Word, int]] = {}
         for content, b in self.blocks.items():
             units = np.eye(len(b.cols), dtype=np.int64)
-            solved = _lyndon_solve(b, lyn.get(content, []), units, self.p, self.degree)
+            solved = _lyndon_solve(b, lyn.get(content, []), units, self.p, self.degree, m)
             coords.update(zip(b.cols.tolist(), solved))
-        keys = product(range(len(self.alphabet)), repeat=self.degree)
+        keys = product(range(m), repeat=self.degree)
         return {Word(self.alphabet, key): coords[i] for i, key in enumerate(keys)}
 
     def to_json(self) -> dict:

@@ -27,6 +27,13 @@ CASES = {
     "pairing-matrix-p13-n5-xy.json": [
         "pairing-matrix", "--alphabet", "xy", "--n", "5", "--p", "13", "--format", "json",
     ],
+    # The 64-word Lyndon map of degree 3 over four letters, and one word's.
+    "shuffle-span-p5-deg3-xyzt.json": [
+        "shuffle", "--span", "--deg", "3", "--alphabet", "xyzt", "--p", "5", "--format", "json",
+    ],
+    "shuffle-reduce-p7-zyx.json": [
+        "shuffle", "--reduce", "zyx", "--alphabet", "xyz", "--p", "7", "--format", "json",
+    ],
     # Nested and powered brackets, the identity token and a zero exponent.
     "magnus-nested-mod125-deg5.json": [
         "magnus", "[[x,y]^-2, x y^-1]^3 1 x^0 [y,x]^2", "--deg", "5", "--mod", "125",

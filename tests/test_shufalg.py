@@ -11,7 +11,7 @@ import pytest
 import lynmag.shufalg as shufalg
 from lynmag.errors import ConsistencyError
 from lynmag.freegrp import GroupWord, parse_group_word
-from lynmag.linalg import rref_mod_p
+from lynmag.linalg import inverse_mod_p, rref_mod_p
 from lynmag.series import TruncatedSeries, _word_code, inner_product, magnus
 from lynmag.shufalg import (
     cfl_check,
@@ -27,6 +27,13 @@ from lynmag.words import Alphabet, Word, all_words, is_lyndon, lyndon_words, nec
 XY = Alphabet(("x", "y"))
 XYZ = Alphabet(("x", "y", "z"))
 XYZT = Alphabet(("x", "y", "z", "t"))
+
+
+def rref_largest_first(matrix, p):
+    """RREF with pivots at the largest columns, rows by ascending pivot."""
+    rows, pivots = rref_mod_p(np.asarray(matrix)[:, ::-1], p)
+    last = np.shape(matrix)[1] - 1
+    return rows[::-1, ::-1], tuple(last - c for c in reversed(pivots))
 
 
 def poly(alphabet, coeffs):
@@ -430,7 +437,7 @@ class TestSpanBasis:
     def test_rows_are_reduced_echelon(self):
         basis = shuffle_span_basis(3, 5, XYZ)
         rows = dense_rows(basis)
-        again, pivots = rref_mod_p(rows, 5)
+        again, pivots = rref_largest_first(rows, 5)
         assert pivots == basis.pivots
         assert np.array_equal(again, rows)
         for row, col in enumerate(basis.pivots):
@@ -493,7 +500,10 @@ def dense_rows(basis):
 
 
 def global_span(d, p, alphabet):
-    """Every u ш v of degree d as one full-width row, in one reduction."""
+    """Every u ш v of degree d as one full-width row, in one reduction.
+
+    Pivots fall at the largest words.
+    """
     m = len(alphabet)
     columns = {key: i for i, key in enumerate(product(range(m), repeat=d))}
     rows = []
@@ -506,7 +516,7 @@ def global_span(d, p, alphabet):
                 rows.append(vec)
     if not rows:
         return np.zeros((0, len(columns)), dtype=np.int64), ()
-    return rref_mod_p(np.stack(rows), p)
+    return rref_largest_first(np.stack(rows), p)
 
 
 class TestBlockSpanMatchesGlobal:
@@ -564,7 +574,10 @@ class TestBlockSpanMatchesGlobal:
 
 
 def all_pairs_blocks(d, p, alphabet):
-    """Per letter content: the RREF of every u ш v of degree d in its block."""
+    """Per letter content: the RREF of every u ш v of degree d in its block.
+
+    Pivots fall at the largest words.
+    """
     m = len(alphabet)
     local: dict[tuple, dict] = {}
     for key in product(range(m), repeat=d):
@@ -580,7 +593,7 @@ def all_pairs_blocks(d, p, alphabet):
                     vec[cols[key]] = c % p
                 rows[tuple(sorted(uk + vk))].append(vec)
     return {
-        c: rref_mod_p(np.array(r, dtype=np.int64).reshape(len(r), len(local[c])), p)
+        c: rref_largest_first(np.array(r, dtype=np.int64).reshape(len(r), len(local[c])), p)
         for c, r in rows.items()
     }
 
@@ -720,6 +733,59 @@ class TestLyndonMapMatchesPerWordSolve:
         for solve in (basis.lyndon_map, lambda: reduce_mod_shuffles(XY.word("xy"), 5)):
             with pytest.raises(ConsistencyError, match="not a quotient basis at degree 2 mod 5"):
                 solve()
+
+
+def lyndon_solve_reference(block, lyn, vectors, p, d, m):
+    """Lyndon coordinates by inverting the block's reduced Lyndon images.
+
+    Reads the images at the free columns, whatever they are; raises
+    ValueError where the images are singular (or not square).
+    """
+    size = len(block.cols)
+    free = np.ones(size, dtype=bool)
+    free[list(block.pivots)] = False
+    at = np.searchsorted(block.cols, [np.ravel_multi_index(w.indices, (m,) * d) for w in lyn])
+    images = block.reduce(np.eye(size, dtype=np.int64)[at], p)[:, free]
+    inverse = inverse_mod_p(images.T, p)
+    coords = block.reduce(vectors, p)[:, free] @ inverse.T % p
+    return [{wl: int(c) for wl, c in zip(lyn, row) if c} for row in coords]
+
+
+class TestLyndonMapMatchesInverse:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("letters,top", [("xy", 8), ("xyz", 5), ("xyzt", 4)])
+    def test_raises_exactly_where_the_images_are_singular(self, letters, top, p):
+        alphabet, m = Alphabet(tuple(letters)), len(letters)
+        for d in range(1, top + 1):
+            basis = shuffle_span_basis(d, p, alphabet)
+            lyn = shufalg._lyndon_by_content(alphabet, d)
+            want: dict[int, dict] = {}
+            singular = False
+            for content, block in basis.blocks.items():
+                units = np.eye(len(block.cols), dtype=np.int64)
+                words = lyn.get(content, [])
+                try:
+                    solved = lyndon_solve_reference(block, words, units, p, d, m)
+                except ValueError:
+                    singular = True
+                    with pytest.raises(ConsistencyError, match="not a quotient basis"):
+                        shufalg._lyndon_solve(block, words, units, p, d, m)
+                    continue
+                assert shufalg._lyndon_solve(block, words, units, p, d, m) == solved
+                want.update(zip(block.cols.tolist(), solved))
+            if singular:
+                with pytest.raises(ConsistencyError, match=f"at degree {d} mod {p}"):
+                    basis.lyndon_map()
+                continue
+            assert list(basis.lyndon_map().values()) == [want[i] for i in range(m**d)]
+            if p > d:
+                # Every reduced word is supported on the Lyndon columns.
+                lyndon = np.zeros(m**d, dtype=bool)
+                for w in lyndon_words(alphabet, d):
+                    if len(w) == d:
+                        lyndon[np.ravel_multi_index(w.indices, (m,) * d)] = True
+                reduced = basis.reduce_vector(np.eye(m**d, dtype=np.int64))
+                assert not reduced[:, ~lyndon].any()
 
 
 class TestReduceModShuffles:

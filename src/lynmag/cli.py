@@ -271,8 +271,10 @@ def cmd_magnus(config: RunConfig, args: argparse.Namespace) -> int:
     if args.rho:
         if config.mod is None:
             raise ValueError("--rho requires --mod (a prime power)")
-        texts = args.rho.split(",")
-        rho_words = list(dict.fromkeys(config.alphabet.word(t.strip()) for t in texts))
+        texts = [t.strip() for t in args.rho.split(",")]
+        if "" in texts:
+            raise ValueError(f"--rho entry {texts.index('') + 1} of {len(texts)} is empty")
+        rho_words = list(dict.fromkeys(map(config.alphabet.word, texts)))
         if max(map(len, rho_words)) > MAX_RHO_LETTERS:
             raise ValueError(f"--rho words may have at most {MAX_RHO_LETTERS} letters")
         cubes = sum((len(w) + 1) ** 3 for w in rho_words)

@@ -242,13 +242,17 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
     comma build commutators and may be nested and carry exponents.  Text
     that nests brackets deeper than MAX_NESTING, or whose reduced word or
     any reduced subword would exceed MAX_SYLLABLES syllables, raises
-    ValueError before that word is built.
+    ValueError before that word is built.  Every ValueError message starts
+    with "group word" and the (shortened) text.
     """
     tokens = list(_tokenize(text))
     shown = repr(text if len(text) <= 60 else text[:57] + "...")
     depths = accumulate((t == "[") - (t == "]") for t in tokens)
     if max(depths, default=0) > MAX_NESTING:
         raise ValueError(f"group word {shown} nests brackets deeper than {MAX_NESTING}")
+
+    def malformed(problem: str) -> ValueError:
+        return ValueError(f"group word {shown}: {problem}")
 
     def capped(syllables: int) -> None:
         if syllables > MAX_SYLLABLES:
@@ -272,11 +276,11 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
             pos += 1
             left = parse_sequence({","})
             if pos >= len(tokens) or tokens[pos] != ",":
-                raise ValueError("commutator bracket needs a comma")
+                raise malformed("commutator bracket needs a comma")
             pos += 1
             right = parse_sequence({"]"})
             if pos >= len(tokens) or tokens[pos] != "]":
-                raise ValueError("unclosed commutator bracket")
+                raise malformed("unclosed commutator bracket")
             pos += 1
             base = _commutator(left, right)
             k = _trailing_exponent()
@@ -287,19 +291,21 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
                 capped(one + (abs(k) - 1) * (len(_power(base, 2)) - one))
             return _power(base, k)
         if token in {"]", ","}:
-            raise ValueError(f"unexpected {token!r}")
+            raise malformed(f"unexpected {token!r}")
         pos += 1
         name, caret, exp_text = token.partition("^")
         if name == "1" and not caret:
             return []
+        if not name:
+            raise malformed(f"exponent {token!r} follows no letter or bracket")
         if name not in alphabet:
-            raise ValueError(f"unknown letter {name!r}")
+            raise malformed(f"unknown letter {name!r}")
         exp = 1
         if caret:
             try:
                 exp = int(exp_text)
             except ValueError:
-                raise ValueError(f"bad exponent in {token!r}") from None
+                raise malformed(f"bad exponent in {token!r}") from None
         return [(alphabet.index(name), exp)]
 
     def _trailing_exponent() -> int:
@@ -310,10 +316,7 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
             try:
                 return int(text)
             except ValueError:
-                raise ValueError(f"bad exponent {text!r}") from None
+                raise malformed(f"bad exponent {text!r}") from None
         return 1
 
-    result = parse_sequence(set())
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in group word")
-    return GroupWord(alphabet, tuple(result))
+    return GroupWord(alphabet, tuple(parse_sequence(set())))

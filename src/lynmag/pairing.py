@@ -53,7 +53,7 @@ from .freegrp import TauStep, tau_plan
 from .linalg import inverse_mod_p
 from .matgrp import iota_reader, tau_power_rows
 from .series import TruncatedSeries, _product, _word_code, balanced, is_prime, series_pow
-from .words import Alphabet, Word, lyndon_words, necklace
+from .words import Alphabet, Word, all_words, lyndon_words, necklace
 
 
 def _tau_parts(
@@ -316,11 +316,7 @@ def vanishing_checks(n: int, p: int, alphabet: Alphabet) -> dict:
     by_rule = {"letters": 0, "length-gap": 0}
     counterexamples = []
     lyndon = lyndon_words(alphabet, n)
-    words = [
-        Word(alphabet, t)
-        for length in range(1, n + 1)
-        for t in itertools.product(range(len(alphabet)), repeat=length)
-    ]
+    words = [w for length in range(1, n + 1) for w in all_words(alphabet, length)]
     values = pairing_rows(lyndon, words, n, p)
     for w, row in zip(lyndon, values):
         w_letters = w.letter_set()

@@ -33,15 +33,22 @@ from .words import Alphabet, Word, is_lyndon, standard_factorization
 WordKey = tuple[int, ...]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+@lru_cache
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division.
+
+    Memoized: the checks ask about the same few primes many times.
+    """
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 @lru_cache
@@ -53,13 +60,7 @@ def prime_power(m: int) -> tuple[int, int]:
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        return m, 1
+    p = _least_factor(m)
     k, rest = 0, m
     while rest % p == 0:
         rest //= p

@@ -396,7 +396,9 @@ class ShuffleSpanBasis:
             "rank": self.rank,
             "quotient_dim": self.quotient_dim,
         }
-        # The Lyndon basis claim only holds for p > 3 in low degree.
+        # The Lyndon map is printed for d <= 3 and p > 3 only: that is the
+        # CLI contract, not a limit of the math (p > d suffices).  ROADMAP's
+        # "two routes to a word's Lyndon coordinates" item lifts it.
         if self.degree <= 3 and self.p > 3:
             report["lyndon_map"] = {
                 str(w): {str(wl): c for wl, c in coords.items()}
@@ -423,8 +425,10 @@ def shuffle_span_basis(d: int, p: int, alphabet: Alphabet) -> ShuffleSpanBasis:
 def reduce_mod_shuffles(w: Word, p: int) -> dict[Word, int]:
     """Express the class of w modulo shuffles as a Lyndon combination.
 
-    Valid for |w| <= 3 and p > 3, the range where Lyndon words are known
-    to give a basis of the quotient.  Coefficients are residues 1..p-1;
+    Accepts |w| <= 3 and p > 3 only.  Lyndon words give a basis of the
+    quotient whenever p > |w|, so these limits are the CLI contract, which
+    ROADMAP's "two routes to a word's Lyndon coordinates" item lifts.
+    Coefficients are residues 1..p-1;
     an empty dict means the class of w vanishes.  Shuffles preserve
     letter content, so only the block of w's content is reduced.
     """

@@ -1,7 +1,8 @@
 """Named verification checks across all modules, seeded and reproducible.
 
-Each check establishes one mathematical fact at a fixed scale and yields
-a plain dict (name, statement, passed, details).  Reports carry no
+Each check establishes one mathematical fact at a fixed scale and returns
+its details and its failures; ``run_check`` alone turns these into a plain
+dict (name, statement, passed, details).  Reports carry no
 timestamps, and every random choice flows from the recorded seed, so a
 report is a pure function of (seed, selected checks).
 """
@@ -70,6 +71,7 @@ CONGRUENCE_TABLE = (
 SIGMA_COUNT = 1000  # random group words in the cfl suite
 SAMPLE_COUNT = 100  # filtration samples per (p, n)
 PAIR_COUNT = 1000  # random pairs in the homomorphism suites
+MAX_FAILURES = 10  # failures listed in a failing check's report
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,7 @@ def _check_lyndon_necklace_counts(config: VerifyConfig):
     )
     if quartics != FOUR_LETTER_QUARTICS:
         failures.append("four-letter multilinear table mismatch")
-    if failures:
-        details["failures"] = failures
-    return not failures, details
+    return details, failures
 
 
 def _check_duality_n2(config: VerifyConfig):
@@ -160,10 +160,7 @@ def _check_duality_n2(config: VerifyConfig):
                     want = 0
                 if got != want:
                     failures.append(f"<({w}),({w2})> p={p}")
-    details = {"matrices": matrices, "values": values}
-    if failures:
-        details["failures"] = failures[:10]
-    return not failures, details
+    return {"matrices": matrices, "values": values}, failures
 
 
 def _check_pairing_matrix_n3(config: VerifyConfig):
@@ -184,9 +181,7 @@ def _check_pairing_matrix_n3(config: VerifyConfig):
                     want = 0
                 if got != want:
                     failures.append(f"p={p} ({w},{w2}) = {got}, want {want}")
-    if failures:
-        details["failures"] = failures[:10]
-    return not failures, details
+    return details, failures
 
 
 def _check_pairing_triangularity_n4(config: VerifyConfig):
@@ -196,10 +191,10 @@ def _check_pairing_triangularity_n4(config: VerifyConfig):
     for p in (2, 3):
         m = pairing_matrix(4, p, XY)
         if m.dimension() != 8:
-            return False, {"error": f"dimension {m.dimension()} != 8"}
+            raise ConsistencyError(f"dimension {m.dimension()} != 8")
         details[f"matrix_p{p}"] = [[int(v) for v in row] for row in m.rows]
         details["index"] = [str(w) for w in m.index]
-    return True, details
+    return details, []
 
 
 FILTRATION_CASES = (
@@ -235,9 +230,7 @@ def _check_matrix_filtration_bruteforce(config: VerifyConfig):
         central = all(z * g == g * z for z in term for g in table)
         if not central:
             failures.append(f"(s,p,n)=({s},{p},{n}): term not central")
-    if failures:
-        details["failures"] = failures
-    return not failures, details
+    return details, failures
 
 
 def _check_koch_criterion(config: VerifyConfig):
@@ -256,10 +249,7 @@ def _check_koch_criterion(config: VerifyConfig):
             samples += 1
             if not koch_test(g, n, p):
                 failures.append(f"sample #{samples} p={p} n={n}: {g}")
-    details = {"generators": generators, "samples": samples}
-    if failures:
-        details["failures"] = failures[:10]
-    return not failures, details
+    return {"generators": generators, "samples": samples}, failures
 
 
 def _check_cfl_identity(config: VerifyConfig):
@@ -285,14 +275,11 @@ def _check_cfl_identity(config: VerifyConfig):
                 checked += 1
                 if not cfl_check(u, v, sigma, p**5):
                     failures.append(f"p={p} u={u} v={v} sigma={sigma}")
-    details = {
+    return {
         "pairs": len(pairs),
         "words_per_prime": SIGMA_COUNT if sigmas is None else 1,
         "checked": checked,
-    }
-    if failures:
-        details["failures"] = failures[:10]
-    return not failures, details
+    }, failures
 
 
 def _check_shuffle_congruence(config: VerifyConfig):
@@ -323,10 +310,7 @@ def _check_shuffle_congruence(config: VerifyConfig):
     )
     if not control_failed:
         failures.append("negative control passed but must fail")
-    details = {"checked": checked, "negative_control_fails": control_failed}
-    if failures:
-        details["failures"] = failures[:10]
-    return not failures, details
+    return {"checked": checked, "negative_control_fails": control_failed}, failures
 
 
 def _poly_from(alphabet: Alphabet, coeffs: dict) -> TruncatedSeries:
@@ -372,9 +356,7 @@ def _check_shuffle_span_structure(config: VerifyConfig):
     }
     if not basis.contains(fwd - bwd) or basis.contains(fwd + bwd):
         failures.append("k=3 sign probe inconsistent")
-    if failures:
-        details["failures"] = failures
-    return not failures, details
+    return details, failures
 
 
 def _check_homomorphism_properties(config: VerifyConfig):
@@ -409,10 +391,7 @@ def _check_homomorphism_properties(config: VerifyConfig):
         m = len(alphabet)
         if any(dense[i][j] != codes.get(_word_code(u[i:j], m), 0) for i, j in spans):
             failures.append(f"rho vs magnus: w={w} g={g} mod {modulus}")
-    details = {"magnus_pairs": magnus_pairs, "rho_pairs": rho_pairs}
-    if failures:
-        details["failures"] = failures[:10]
-    return not failures, details
+    return {"magnus_pairs": magnus_pairs, "rho_pairs": rho_pairs}, failures
 
 
 def _check_tau_triangularity(config: VerifyConfig):
@@ -435,10 +414,7 @@ def _check_tau_triangularity(config: VerifyConfig):
         # every word of the bracket has length d, so code order is alphabetical
         if min(bracket.codes) < _word_code(w.indices, len(w.alphabet)):
             failures.append(f"{w}: tail not alphabetically above {w}")
-    details = {"words": checked}
-    if failures:
-        details["failures"] = failures
-    return not failures, details
+    return {"words": checked}, failures
 
 
 def _check_standard_factorization(config: VerifyConfig):
@@ -462,28 +438,28 @@ def _check_standard_factorization(config: VerifyConfig):
                 failures.append(f"{w}: right part is not the least proper suffix")
             elif not left.indices < right.indices:
                 failures.append(f"{w}: parts not strictly increasing")
-    details = {"words": checked}
-    if failures:
-        details["failures"] = failures
-    return not failures, details
+    return {"words": checked}, failures
 
 
 def _check_pairing_vanishing_rules(config: VerifyConfig):
     details: dict = {}
-    passed = True
+    failures: list[str] = []
     for n, p, alphabet in ((3, 3, XYZ), (4, 2, XY)):
         report = vanishing_checks(n, p, alphabet)
-        details[f"n{n}_p{p}_{len(alphabet)}_letters"] = {
+        case = f"n{n}_p{p}_{len(alphabet)}_letters"
+        details[case] = {
             "pairs_checked": report["pairs_checked"],
             "by_rule": report["by_rule"],
         }
-        if not report["passed"]:
-            passed = False
-            details["counterexamples"] = report["counterexamples"][:10]
-    return passed, details
+        failures += [
+            f"{case}: <({c['w']}),({c['w_prime']})> = {c['value']}"
+            for c in report["counterexamples"]
+        ]
+    return details, failures
 
 
-Check = Callable[[VerifyConfig], tuple[bool, dict]]
+# A check returns (details, failures); run_check alone turns that into a verdict.
+Check = Callable[[VerifyConfig], tuple[dict, list[str]]]
 
 CHECKS: dict[str, tuple[str, Check]] = {
     "lyndon-necklace-counts": (
@@ -569,17 +545,25 @@ def resolve_check_name(text: str) -> str:
 
 
 def run_check(name: str, config: Optional[VerifyConfig] = None) -> dict:
-    """Run one named check and package the outcome."""
+    """Run one named check and package the outcome.
+
+    The check passes when it returns no failures; the first MAX_FAILURES of
+    them are reported under details["failures"].  A ConsistencyError fails
+    the check with details {"error": message}.
+    """
     config = config or VerifyConfig()
     statement, fn = CHECKS[name]
     try:
-        passed, details = fn(config)
+        details, failures = fn(config)
+        passed = not failures
+        if failures:
+            details["failures"] = failures[:MAX_FAILURES]
     except ConsistencyError as exc:
-        passed, details = False, {"error": str(exc)}
+        details, passed = {"error": str(exc)}, False
     return {
         "name": name,
         "statement": statement,
-        "passed": bool(passed),
+        "passed": passed,
         "details": details,
     }
 

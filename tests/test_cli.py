@@ -149,6 +149,24 @@ class TestMagnus:
         assert code == 2
         assert "--mod" in err
 
+    def test_empty_rho_entry_named(self, capsys):
+        code, out, err = run(["magnus", "x", "--mod", "9", "--rho", "xxx,,xy"], capsys)
+        assert (code, out, err) == (2, "", "error: --rho entry 2 of 3 is empty\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["magnus", "x ^2"], "group word 'x ^2': exponent '^2' follows no letter or bracket"),
+            (
+                ["verify", "--check", "cfl", "--sigma", "[x,y"],
+                "group word '[x,y': unclosed commutator bracket",
+            ),
+        ],
+    )
+    def test_parse_errors_name_the_word(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "word",
         [
@@ -336,7 +354,7 @@ class TestVerify:
         monkeypatch.setitem(
             verify.CHECKS,
             "standard-factorization",
-            ("forced to fail", lambda config: (False, {"reason": "forced"})),
+            ("forced to fail", lambda config: ({"reason": "forced"}, ["forced"])),
         )
         code, out, _ = run(["verify", "--check", "standard-factorization"], capsys)
         assert code == 1

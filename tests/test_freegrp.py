@@ -318,6 +318,9 @@ def parse_reference(alphabet: Alphabet, text: str) -> GroupWord:
     if max(accumulate((t == "[") - (t == "]") for t in tokens), default=0) > freegrp.MAX_NESTING:
         raise ValueError(f"group word {shown} nests brackets deeper than {freegrp.MAX_NESTING}")
 
+    def malformed(problem):
+        return ValueError(f"group word {shown}: {problem}")
+
     def capped(n):
         if n > freegrp.MAX_SYLLABLES:
             raise ValueError(
@@ -339,14 +342,14 @@ def parse_reference(alphabet: Alphabet, text: str) -> GroupWord:
     def expect(token, message):
         nonlocal pos
         if pos >= len(tokens) or tokens[pos] != token:
-            raise ValueError(message)
+            raise malformed(message)
         pos += 1
 
     def factor():
         nonlocal pos
         token = tokens[pos]
         if token in {"]", ","}:
-            raise ValueError(f"unexpected {token!r}")
+            raise malformed(f"unexpected {token!r}")
         pos += 1
         if token == "[":
             left = sequence({","})
@@ -359,7 +362,7 @@ def parse_reference(alphabet: Alphabet, text: str) -> GroupWord:
                 try:
                     k = int(tokens[pos - 1][1:])
                 except ValueError:
-                    raise ValueError(f"bad exponent {tokens[pos - 1][1:]!r}") from None
+                    raise malformed(f"bad exponent {tokens[pos - 1][1:]!r}") from None
             if abs(k) > 1:
                 one = len(base.syllables)
                 capped(one + (abs(k) - 1) * (len((base * base).syllables) - one))
@@ -367,17 +370,16 @@ def parse_reference(alphabet: Alphabet, text: str) -> GroupWord:
         name, caret, exp = token.partition("^")
         if name == "1" and not caret:
             return GroupWord.identity(alphabet)
+        if not name:
+            raise malformed(f"exponent {token!r} follows no letter or bracket")
         if name not in alphabet:
-            raise ValueError(f"unknown letter {name!r}")
+            raise malformed(f"unknown letter {name!r}")
         try:
             return GroupWord.generator(alphabet, name, int(exp) if caret else 1)
         except ValueError:
-            raise ValueError(f"bad exponent in {token!r}") from None
+            raise malformed(f"bad exponent in {token!r}") from None
 
-    result = sequence(set())
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in group word")
-    return result
+    return sequence(set())
 
 
 def random_text(rng: random.Random) -> str:
@@ -418,7 +420,28 @@ class TestParseSequence:
             got = self.outcome(parse_group_word, text)
             assert got == self.outcome(parse_reference, text), text
             outcomes.add(type(got) if not isinstance(got, str) else got.split()[0])
-        assert tuple in outcomes and "group" in outcomes  # words, and cap errors
+        assert outcomes == {tuple, "group"}  # words, and errors that name the text
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("x ^2", "exponent '^2' follows no letter or bracket"),
+            ("^", "exponent '^' follows no letter or bracket"),
+            ("[x,y", "unclosed commutator bracket"),
+            ("[x y", "commutator bracket needs a comma"),
+            ("x ]", "unexpected ']'"),
+            ("x q", "unknown letter 'q'"),
+            ("x^a", "bad exponent in 'x^a'"),
+            ("[x,y]^b", "bad exponent 'b'"),
+        ],
+    )
+    def test_malformed_texts_name_the_word(self, text, problem):
+        want = f"group word {text!r}: {problem}"
+        assert self.outcome(parse_group_word, text) == want
+        assert self.outcome(parse_reference, text) == want
+
+    def test_spaced_exponent_after_bracket(self):
+        assert gw("[x,y] ^2") == gw("[x,y]^2")
 
     def test_cap_is_checked_after_each_factor(self):
         # The reduced prefix is checked, not only the final word.

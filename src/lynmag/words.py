@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .errors import ConsistencyError
+
 
 class Alphabet:
     """A finite ordered set of letters.
@@ -212,7 +214,8 @@ def necklace(n: int, m: int) -> int:
     if m < 0:
         raise ValueError("alphabet size must be nonnegative")
     total = sum(mobius(d) * m ** (n // d) for d in divisors(n))
-    assert total % n == 0
+    if total % n:
+        raise ConsistencyError(f"necklace sum {total} for n={n}, m={m} is not divisible by n")
     return total // n
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lynmag import words
+from lynmag.errors import ConsistencyError
 from lynmag.words import (
     Alphabet,
     Word,
@@ -199,6 +201,11 @@ class TestCounting:
             necklace(0, 2)
         with pytest.raises(ValueError):
             mobius(0)
+
+    def test_necklace_sum_not_divisible_by_n_raises(self, monkeypatch):
+        monkeypatch.setattr(words, "mobius", lambda d: d == 1)
+        with pytest.raises(ConsistencyError, match=r"sum 8 for n=3, m=2 is not divisible"):
+            necklace(3, 2)
 
 
 class TestLyndonFactorization:
